@@ -20,7 +20,7 @@ from eegid import (
     train_binary_smo,
     train_multiclass,
 )
-from eegid.svm import RowSplit, max_kkt_violation, split_rows
+from eegid.svm import SplitSpec, max_kkt_violation, split_rows
 
 # --- a toy two-class problem -------------------------------------------
 # Two Gaussian blobs in the plane, labels -1 / +1.
@@ -57,7 +57,7 @@ ds = generate_synthetic_dataset(n_subjects=3, duration_s=24.0, fs=250.0,
 F, labels, _ = extract_feature_matrix(prepare_windows(ds))
 F = (F - F.mean(axis=0)) / F.std(axis=0)  # quick z-score for the demo
 
-split = RowSplit(train_fraction=0.8, mode="chronological")
+split = SplitSpec(train_fraction=0.8, mode="chronological")
 train, test = split_rows(labels, split)
 model = train_multiclass(F[train], labels[train], KernelSpec("rbf", 100.0, gamma=0.01))
 acc = np.mean(predict_batch(model, F[test]) == labels[test])

@@ -10,6 +10,10 @@ Subcommands mirror the pipeline stages:
     grid        hyperparameter sweep over kernels on a features CSV
     identify    vote a single recording CSV against a saved model
 
+The preprocessing flags and window geometry of `extract` travel in the
+features CSV header into the model, and `identify` windows with them.
+`train`/`evaluate`/`grid` split rows with `svm.split_rows`, as the library does.
+
 Every subcommand accepts --seed where randomness is involved. Errors exit
 nonzero with a one-line stage-tagged message on stderr.
 """
@@ -17,6 +21,7 @@ nonzero with a one-line stage-tagged message on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,12 +45,10 @@ def _flags_from_args(args) -> pipeline.PreprocessFlags:
         notch_q=args.notch_q, asr=not args.no_asr, asr_k=args.asr_k)
 
 
-def _split_from_args(args) -> pipeline.SplitSpec:
-    seed = args.seed if args.split == "random" else None
-    if args.split == "random" and seed is None:
-        seed = 0
-    return pipeline.SplitSpec(train_fraction=args.train_fraction,
-                              mode=args.split, seed=seed)
+def _split_from_args(args) -> svm.SplitSpec:
+    seed = (args.seed or 0) if args.split == "random" else None
+    return svm.SplitSpec(train_fraction=args.train_fraction,
+                         mode=args.split, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,9 +158,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_extract(args) -> int:
     ds = signal_io.load_dataset(args.inp)
-    flags = _flags_from_args(args)
-    windows = pipeline.prepare_windows(ds, flags, win_s=args.window,
-                                       hop_s=args.hop)
+    flags = dataclasses.replace(_flags_from_args(args), win_s=args.window,
+                                hop_s=args.hop)
+    windows = pipeline.prepare_windows(ds, flags)
     X, y, starts = features.extract_feature_matrix(windows)
     meta = pipeline.flags_to_meta(flags)
     meta["fs"] = repr(float(ds.fs))

@@ -222,7 +222,8 @@ def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
         raise InvalidArgument(f"window of {win_s}s at {reference.fs} Hz is too short")
     if reference.n_samples < 10 * width:
         raise TooShortForCalibration(
-            f"need >= {10 * width} samples (10 windows), got {reference.n_samples}"
+            f"need >= {10 * width / reference.fs:g} s at {reference.fs:g} Hz "
+            f"({10 * width} samples, 10 windows), got {reference.n_samples}"
         )
     n_ch = reference.data.shape[0]
     wins, rms = _window_rms(reference.data, width)

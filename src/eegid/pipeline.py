@@ -5,7 +5,10 @@ recording-level identification, and model persistence.
 The default split is chronological per subject: overlapping windows shared
 between a random train/test split would leak near-duplicate samples, so
 the first ceil(f*n) windows of each subject train and the rest test.
-Random (seeded) splitting is available for comparison.
+Random (seeded) splitting is available for comparison. `split_dataset`
+applies the protocol of `svm.split_rows`, which the CLI uses on rows.
+Feature tables and models store `PreprocessFlags`, window geometry
+included, through one codec (`flags_to_meta`/`flags_from_meta`).
 
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
@@ -15,8 +18,8 @@ and reload bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +35,6 @@ from .errors import (
     IoFailure,
     MissingFile,
     NonConvergence,
-    SubjectTooSmall,
     UnknownLabel,
     VersionMismatch,
 )
@@ -45,45 +47,19 @@ from .svm import (
     BinarySvm,
     KernelSpec,
     MulticlassSvmModel,
+    SplitSpec,
     predict_batch,
+    split_rows,
     train_multiclass,
 )
 
 MODEL_FORMAT = "eegid-model v1"
 FEATURE_ORDER_VERSION = "1"
-MIN_WINDOWS_PER_SUBJECT = 5
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Per-subject train/test protocol.
-
-    chronological: first ceil(f*n) windows by start index train. random:
-    seeded per-subject shuffle, then the same counts; seed is required for
-    (and only meaningful in) random mode.
-    """
-
-    train_fraction: float = 0.8
-    mode: str = "chronological"
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidArgument("train_fraction must lie in (0, 1)")
-        if self.mode not in ("chronological", "random"):
-            raise InvalidArgument(f"unknown split mode {self.mode!r}")
-        if (self.seed is None) == (self.mode == "random"):
-            raise InvalidArgument("seed must be given exactly when mode='random'")
-
-    def describe(self) -> str:
-        if self.mode == "random":
-            return f"random {self.train_fraction:g}/{1 - self.train_fraction:g} seed={self.seed}"
-        return f"chronological {self.train_fraction:g}/{1 - self.train_fraction:g}"
 
 
 @dataclass(frozen=True)
 class PreprocessFlags:
-    """Configuration of the filtering/cleaning chain before windowing."""
+    """Configuration of the filtering/cleaning chain and the windowing."""
 
     notch_f0: float = 60.0
     notch_q: float = dsp.DEFAULT_NOTCH_Q
@@ -93,38 +69,33 @@ class PreprocessFlags:
     asr: bool = True
     asr_k: float = dsp.DEFAULT_ASR_K
     asr_win_s: float = dsp.DEFAULT_ASR_WIN_S
+    win_s: float = dsp.WINDOW_S
+    hop_s: float = dsp.HOP_S
 
 
 def flags_to_meta(flags: PreprocessFlags) -> dict[str, str]:
-    """Flatten flags to strings, e.g. for a feature-table header."""
-    return {
-        "notch_f0": repr(flags.notch_f0),
-        "notch_q": repr(flags.notch_q),
-        "bp_order": str(flags.bp_order),
-        "bp_lo": repr(flags.bp_lo),
-        "bp_hi": repr(flags.bp_hi),
-        "asr": str(int(flags.asr)),
-        "asr_k": repr(flags.asr_k),
-        "asr_win_s": repr(flags.asr_win_s),
-    }
+    """Flatten flags to strings, in field order: bools as 0/1, the rest by
+    repr. Feature-table headers and model files both store this form."""
+    meta = {}
+    for f in dataclasses.fields(PreprocessFlags):
+        value = getattr(flags, f.name)
+        meta[f.name] = str(int(value)) if isinstance(value, bool) else repr(value)
+    return meta
 
 
 def flags_from_meta(meta: dict[str, str]) -> PreprocessFlags:
-    """Rebuild flags from flags_to_meta output; missing keys take defaults."""
-    base = PreprocessFlags()
+    """Rebuild flags from flags_to_meta output; missing keys take defaults
+    and unknown keys are ignored."""
+    values = {}
     try:
-        return PreprocessFlags(
-            notch_f0=float(meta.get("notch_f0", base.notch_f0)),
-            notch_q=float(meta.get("notch_q", base.notch_q)),
-            bp_order=int(meta.get("bp_order", base.bp_order)),
-            bp_lo=float(meta.get("bp_lo", base.bp_lo)),
-            bp_hi=float(meta.get("bp_hi", base.bp_hi)),
-            asr=bool(int(meta.get("asr", int(base.asr)))),
-            asr_k=float(meta.get("asr_k", base.asr_k)),
-            asr_win_s=float(meta.get("asr_win_s", base.asr_win_s)),
-        )
+        for f in dataclasses.fields(PreprocessFlags):
+            if f.name in meta:
+                kind = type(f.default)
+                text = meta[f.name]
+                values[f.name] = bool(int(text)) if kind is bool else kind(text)
     except ValueError as e:
         raise InvalidArgument(f"bad preprocessing metadata: {e}") from e
+    return PreprocessFlags(**values)
 
 
 def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags()) -> Recording:
@@ -138,40 +109,29 @@ def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags(
     filtered = dsp.apply_filter(bandpass, dsp.apply_filter(notch, r))
     if not flags.asr:
         return filtered
-    model = dsp.asr_calibrate(filtered, k=flags.asr_k, win_s=flags.asr_win_s)
+    try:
+        model = dsp.asr_calibrate(filtered, k=flags.asr_k, win_s=flags.asr_win_s)
+    except EegIdError as e:
+        raise _stage("asr", e) from e
     return dsp.asr_clean(model, filtered)
 
 
-def prepare_windows(ds: LabeledDataset, flags: PreprocessFlags = PreprocessFlags(),
-                    win_s: float = dsp.WINDOW_S,
-                    hop_s: float = dsp.HOP_S) -> list[dsp.Window]:
+def prepare_windows(ds: LabeledDataset,
+                    flags: PreprocessFlags = PreprocessFlags()) -> list[dsp.Window]:
     """Preprocess every recording and slice it into labeled windows."""
     windows: list[dsp.Window] = []
     for sid, rec in ds.entries:
         cleaned = preprocess_recording(rec, flags)
-        windows.extend(dsp.segment_windows(cleaned, sid, win_s, hop_s))
+        windows.extend(dsp.segment_windows(cleaned, sid, flags.win_s, flags.hop_s))
     return windows
 
 
 def split_dataset(windows, s: SplitSpec = SplitSpec()) -> tuple[list, list]:
-    """Per-subject split into (train, test); disjoint, covering all windows."""
-    by_subject: dict[int, list] = {}
-    for w in windows:
-        by_subject.setdefault(w.subject_id, []).append(w)
-    rng = np.random.default_rng(s.seed) if s.mode == "random" else None
-    train: list = []
-    test: list = []
-    for sid in sorted(by_subject):
-        group = sorted(by_subject[sid], key=lambda w: w.start_index)
-        if len(group) < MIN_WINDOWS_PER_SUBJECT:
-            raise SubjectTooSmall(sid, len(group), MIN_WINDOWS_PER_SUBJECT)
-        if rng is not None:
-            order = rng.permutation(len(group))
-            group = [group[i] for i in order]
-        n_train = math.ceil(s.train_fraction * len(group))
-        train.extend(group[:n_train])
-        test.extend(group[n_train:])
-    return train, test
+    """Per-subject split into (train, test); disjoint, covering all windows,
+    each side in (subject, start) order."""
+    windows = sorted(windows, key=lambda w: (w.subject_id, w.start_index))
+    train, test = split_rows([w.subject_id for w in windows], s)
+    return [windows[i] for i in train], [windows[i] for i in test]
 
 
 @dataclass(frozen=True)
@@ -337,7 +297,7 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
             f"recording has {r.data.shape[0]} channels, model expects {p.n_channels}"
         )
     cleaned = preprocess_recording(r, p.flags)
-    windows = dsp.segment_windows(cleaned, subject_id=-1)
+    windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
     X, _, _ = extract_feature_matrix(windows)
     preds = predict_batch(p.svm, p.transform(X))
     counts = {c: int(np.sum(preds == c)) for c in p.svm.classes}
@@ -368,15 +328,7 @@ def _payload_lines(p: TrainedPipeline) -> list[str]:
     lines.append(f"feature_version {p.feature_version}")
     lines.append(f"feature_names {','.join(FEATURE_NAMES)}")
     lines.append(f"n_channels {p.n_channels}")
-    f = p.flags
-    lines.append(f"notch_f0 {repr(f.notch_f0)}")
-    lines.append(f"notch_q {repr(f.notch_q)}")
-    lines.append(f"bp_order {f.bp_order}")
-    lines.append(f"bp_lo {repr(f.bp_lo)}")
-    lines.append(f"bp_hi {repr(f.bp_hi)}")
-    lines.append(f"asr {int(f.asr)}")
-    lines.append(f"asr_k {repr(f.asr_k)}")
-    lines.append(f"asr_win_s {repr(f.asr_win_s)}")
+    lines += [f"{key} {value}" for key, value in flags_to_meta(p.flags).items()]
     lines.append("[standardizer]")
     lines.append(f"mean {_fmt_vector(p.standardizer.mean)}")
     lines.append(f"std {_fmt_vector(p.standardizer.std)}")
@@ -432,6 +384,14 @@ class _Reader:
         self.pos += 1
         return line
 
+    def section(self) -> dict[str, str]:
+        """The `key value` lines up to the next [section] header."""
+        out = {}
+        while self.pos < len(self.lines) and not self.lines[self.pos].startswith("["):
+            key, _, value = self.next().partition(" ")
+            out[key] = value.strip()
+        return out
+
     def expect(self, prefix: str) -> str:
         line = self.next()
         if not line.startswith(prefix + " ") and line != prefix:
@@ -467,16 +427,7 @@ def load_model(path) -> TrainedPipeline:
         if names != ",".join(FEATURE_NAMES):
             raise VersionMismatch("feature name list differs from this build")
         int(r.expect("n_channels"))
-        flags = PreprocessFlags(
-            notch_f0=float(r.expect("notch_f0")),
-            notch_q=float(r.expect("notch_q")),
-            bp_order=int(r.expect("bp_order")),
-            bp_lo=float(r.expect("bp_lo")),
-            bp_hi=float(r.expect("bp_hi")),
-            asr=bool(int(r.expect("asr"))),
-            asr_k=float(r.expect("asr_k")),
-            asr_win_s=float(r.expect("asr_win_s")),
-        )
+        flags = flags_from_meta(r.section())
         r.expect("[standardizer]")
         standardizer = Standardizer(
             mean=_parse_vector(r.expect("mean")),

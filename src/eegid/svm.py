@@ -1,5 +1,6 @@
 """Kernel SVM trained from scratch with sequential minimal optimization,
-a one-vs-one multiclass wrapper, and hyperparameter grid search.
+a one-vs-one multiclass wrapper, the per-class train/test split, and
+hyperparameter grid search.
 
 The SMO solver is the classic two-alpha working-set method: pick a
 KKT-violating example by a first-order scan, pick its partner by the
@@ -26,6 +27,7 @@ from .errors import (
     InvalidArgument,
     NonConvergence,
     SingleClassInput,
+    SubjectTooSmall,
 )
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
@@ -118,6 +120,14 @@ def dual_objective(k: KernelSpec, X: np.ndarray, y: np.ndarray,
     return float(alpha.sum() - 0.5 * ay @ gram(k, X, X) @ ay)
 
 
+def _kkt_violation(alpha: np.ndarray, margins: np.ndarray, c: float) -> float:
+    """Largest KKT violation given each example's margin y_i f(x_i)."""
+    band = _BOUND_BAND * c
+    gap = np.where(alpha <= band, 1.0 - margins,
+                   np.where(alpha >= c - band, margins - 1.0, np.abs(margins - 1.0)))
+    return float(np.max(gap, initial=0.0))
+
+
 def max_kkt_violation(k: KernelSpec, X: np.ndarray, y: np.ndarray,
                       alpha: np.ndarray, b: float) -> float:
     """Largest KKT violation of (alpha, b) for the soft-margin problem."""
@@ -125,18 +135,7 @@ def max_kkt_violation(k: KernelSpec, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     f = gram(k, X, X).T @ (alpha * y) + b
-    margins = y * f
-    c = k.c
-    band = _BOUND_BAND * c
-    worst = 0.0
-    for a_i, m_i in zip(alpha, margins):
-        if a_i <= band:
-            worst = max(worst, 1.0 - m_i)
-        elif a_i >= c - band:
-            worst = max(worst, m_i - 1.0)
-        else:
-            worst = max(worst, abs(m_i - 1.0))
-    return float(worst)
+    return _kkt_violation(alpha, y * f, k.c)
 
 
 @dataclass(frozen=True)
@@ -267,20 +266,6 @@ class _Smo:
                 return True
         return False
 
-    def violation(self) -> float:
-        f = self.errors + self.y  # E = f - y
-        margins = self.y * f
-        band = _BOUND_BAND * self.c
-        worst = 0.0
-        for a_i, m_i in zip(self.alpha, margins):
-            if a_i <= band:
-                worst = max(worst, 1.0 - m_i)
-            elif a_i >= self.c - band:
-                worst = max(worst, m_i - 1.0)
-            else:
-                worst = max(worst, abs(m_i - 1.0))
-        return worst
-
     def final_bias(self) -> float:
         """Average over free support vectors; bound-constraint midpoint otherwise."""
         u = self.errors + self.y - self.b  # f without the bias term
@@ -330,10 +315,12 @@ def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
     while num_changed > 0 or examine_all:
         sweeps += 1
         if sweeps > max_passes:
+            # E = f - y, so the margins y * f are y * (E + y)
+            worst = _kkt_violation(state.alpha, y * (state.errors + y), state.c)
             raise NonConvergence(
                 f"SMO did not converge in {max_passes} sweeps "
-                f"(KKT violation {state.violation():.3e} > tol {tol:g})",
-                kkt_violation=state.violation(),
+                f"(KKT violation {worst:.3e} > tol {tol:g})",
+                kkt_violation=worst,
             )
         num_changed = 0
         if examine_all:
@@ -489,54 +476,60 @@ class GridCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class RowSplit:
-    """Per-class row split: first ceil(train_fraction * n) rows train.
+# smallest class (one subject's windows) that a split accepts
+MIN_WINDOWS_PER_SUBJECT = 5
 
-    mode 'chronological' keeps input order (rows are assumed time-ordered
-    per class); 'shuffled' permutes each class's rows with the seed first.
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """Per-class (per-subject) train/test protocol.
+
+    chronological: the first ceil(f*n) rows of each class, in time order,
+    train. random: seeded per-class shuffle, then the same counts; seed is
+    required for (and only meaningful in) random mode.
     """
 
     train_fraction: float = 0.8
     mode: str = "chronological"
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise InvalidArgument("train_fraction must lie in (0, 1)")
-        if self.mode not in ("chronological", "shuffled"):
+        if self.mode not in ("chronological", "random"):
             raise InvalidArgument(f"unknown split mode {self.mode!r}")
+        if (self.seed is None) == (self.mode == "random"):
+            raise InvalidArgument("seed must be given exactly when mode='random'")
+
+    def describe(self) -> str:
+        if self.mode == "random":
+            return f"random {self.train_fraction:g}/{1 - self.train_fraction:g} seed={self.seed}"
+        return f"chronological {self.train_fraction:g}/{1 - self.train_fraction:g}"
 
 
-def split_rows(labels, split) -> tuple[np.ndarray, np.ndarray]:
-    """Train/test row indices under the per-class split protocol.
+RowSplit = SplitSpec  # former name; the benchmark in bench/ still uses it
 
-    `split` needs attributes train_fraction, mode, seed (duck-typed so the
-    pipeline's split description can be passed straight through).
+
+def split_rows(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train/test row indices under the per-class split protocol.
+
+    Rows of each class are assumed to be in time order. Raises
+    SubjectTooSmall for a class with fewer than MIN_WINDOWS_PER_SUBJECT
+    rows, InvalidArgument when no row is left to test on.
     """
     labels = np.asarray(labels)
-    frac = float(split.train_fraction)
-    mode = getattr(split, "mode", "chronological")
-    if mode == "random":  # the pipeline-level name for the same protocol
-        mode = "shuffled"
-    if mode not in ("chronological", "shuffled"):
-        raise InvalidArgument(f"unknown split mode {mode!r}")
-    seed = getattr(split, "seed", 0)
-    rng = np.random.default_rng(0 if seed is None else int(seed))
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
+    rng = np.random.default_rng(spec.seed) if spec.mode == "random" else None
+    is_train = np.zeros(labels.size, dtype=bool)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        if mode == "shuffled":
+        if idx.size < MIN_WINDOWS_PER_SUBJECT:
+            raise SubjectTooSmall(int(c), idx.size, MIN_WINDOWS_PER_SUBJECT)
+        if rng is not None:
             idx = idx[rng.permutation(idx.size)]
-        n_train = math.ceil(frac * idx.size)
-        train_idx.append(idx[:n_train])
-        test_idx.append(idx[n_train:])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx))
-    if test.size == 0:
+        is_train[idx[:math.ceil(spec.train_fraction * idx.size)]] = True
+    if is_train.all():
         raise InvalidArgument("split leaves no test rows")
-    return train, test
+    return np.flatnonzero(is_train), np.flatnonzero(~is_train)
 
 
 def default_grids() -> dict[str, list[KernelSpec]]:
@@ -555,7 +548,7 @@ def default_grids() -> dict[str, list[KernelSpec]]:
     return {"linear": linear, "poly": poly, "rbf": rbf}
 
 
-def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split,
+def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
                 tol: float = DEFAULT_TOL,
                 max_passes: int = DEFAULT_MAX_PASSES) -> list[GridCell]:
     """Evaluate every combination under the split protocol.

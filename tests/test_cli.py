@@ -5,7 +5,7 @@ import pytest
 
 from eegid import signal_io
 from eegid.cli import main
-from eegid.features import load_feature_table
+from eegid.features import load_feature_table, save_feature_table
 from eegid.pipeline import load_model
 
 
@@ -158,3 +158,35 @@ def test_synth_needs_two_subjects(tmp_path, capsys):
     rc = main(["synth", "--subjects", "1", "--out", str(tmp_path / "ds")])
     assert rc == 2
     assert "subjects" in capsys.readouterr().err.lower()
+
+
+def test_window_geometry_travels_from_extract_to_identify(tmp_path, capsys):
+    ds_dir = tmp_path / "ds"
+    feat = tmp_path / "features.csv"
+    model = tmp_path / "model.txt"
+    assert main(["synth", "--subjects", "2", "--duration", "20",
+                 "--seed", "8", "--out", str(ds_dir)]) == 0
+    assert main(["extract", "--in", str(ds_dir), "--out", str(feat),
+                 "--window", "2.0", "--hop", "1.0"]) == 0
+    assert main(["train", "--features", str(feat), "--model", str(model),
+                 "--kernel", "linear", "--c", "1"]) == 0
+    flags = load_model(model).flags
+    assert (flags.win_s, flags.hop_s) == (2.0, 1.0)
+    capsys.readouterr()
+    rec_csv = tmp_path / "rec.csv"
+    signal_io.save_recording_csv(signal_io.load_dataset(ds_dir).entries[0][1], rec_csv)
+    assert main(["identify", "--model", str(model), "--in", str(rec_csv)]) == 0
+    # 20 s at 250 Hz in 2.0 s windows every 1.0 s: (5000 - 500) // 250 + 1
+    assert "/19 windows)" in capsys.readouterr().out
+
+
+def test_train_rejects_subject_with_too_few_windows(world, tmp_path, capsys):
+    _, _, feat, _ = world
+    X, y, starts, meta = load_feature_table(feat)
+    keep = np.flatnonzero(y == 0).tolist() + np.flatnonzero(y == 1)[:4].tolist()
+    small = tmp_path / "small.csv"
+    save_feature_table(small, X[keep], y[keep], starts[keep], meta=meta)
+    rc = main(["train", "--features", str(small), "--model", str(tmp_path / "m.txt"),
+               "--kernel", "linear"])
+    assert rc == 2
+    assert "subject 1 has 4 windows" in capsys.readouterr().err

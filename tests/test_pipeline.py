@@ -1,6 +1,7 @@
 """Split protocol, end-to-end fit/evaluate/identify, and model persistence."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from eegid.errors import (
     NonConvergence,
     RecordingTooShort,
     SubjectTooSmall,
+    TooShortForCalibration,
     UnknownLabel,
     VersionMismatch,
 )
@@ -272,6 +274,14 @@ def test_identify_too_short(no_asr_model):
         identify(no_asr_model, rec)
 
 
+def test_identify_short_recording_names_asr_minimum(small_world):
+    rec = signal_io.Recording(
+        channels=signal_io.EEG_CHANNELS, fs=250.0,
+        data=np.random.default_rng(3).normal(size=(8, 1000)))  # 4 s
+    with pytest.raises(TooShortForCalibration, match=r"^\[asr\] .*need >= 5 s at 250 Hz"):
+        identify(small_world[4], rec)
+
+
 def test_identify_single_window_majority_is_unit(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,
@@ -305,6 +315,23 @@ def test_save_load_round_trip_exact(tmp_path, small_world):
     # saving the loaded model reproduces the file byte for byte
     save_model(loaded, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_load_model_without_window_lines_takes_defaults(tmp_path, small_world):
+    """Model files written before the window geometry was stored still load."""
+    model = small_world[4]
+    flags = dataclasses.replace(model.flags, win_s=2.0, hop_s=1.0)
+    path = tmp_path / "model.txt"
+    save_model(dataclasses.replace(model, flags=flags), path)
+    head, _, payload = path.read_text().split("\n", 2)
+    lines = payload.splitlines(keepends=True)
+    payload = "".join(ln for ln in lines if not ln.startswith(("win_s ", "hop_s ")))
+    assert len(payload.splitlines()) == len(lines) - 2
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(f"{head}\nchecksum {checksum}\n{payload}")
+    loaded = load_model(path)
+    assert loaded.flags == model.flags == PreprocessFlags()
+    assert np.array_equal(loaded.pca.components, model.pca.components)
 
 
 def test_load_missing_file(tmp_path):

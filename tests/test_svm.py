@@ -13,7 +13,7 @@ from eegid.svm import (
     BinarySvm,
     GridCell,
     KernelSpec,
-    RowSplit,
+    SplitSpec,
     best_per_kind,
     decision_values,
     default_grids,
@@ -332,7 +332,7 @@ def _grid_data(seed=75, n_per=30):
 def test_single_cell_grid():
     X, y = _grid_data()
     cells = grid_search(X, y, {"rbf": [KernelSpec("rbf", 10.0, gamma=0.5)]},
-                        RowSplit(0.8))
+                        SplitSpec(0.8))
     assert len(cells) == 1
     assert cells[0].error is None
     assert 0.0 <= cells[0].accuracy <= 1.0
@@ -345,7 +345,7 @@ def test_grid_ranking_and_best_per_kind():
         "rbf": [KernelSpec("rbf", c, gamma=g)
                 for c in (1.0, 10.0) for g in (0.5, 0.05)],
     }
-    cells = grid_search(X, y, grids, RowSplit(0.8))
+    cells = grid_search(X, y, grids, SplitSpec(0.8))
     assert len(cells) == 6
     accs = [c.accuracy for c in cells]
     assert all(a >= b for a, b in zip(accs, accs[1:]))
@@ -358,7 +358,7 @@ def test_grid_ranking_and_best_per_kind():
 def test_grid_records_failures_without_raising():
     X, y = _grid_data(n_per=40)
     cells = grid_search(X, y, {"rbf": [KernelSpec("rbf", 100.0, gamma=0.5)]},
-                        RowSplit(0.8), tol=1e-12, max_passes=1)
+                        SplitSpec(0.8), tol=1e-12, max_passes=1)
     assert len(cells) == 1
     assert cells[0].accuracy is None
     assert "converge" in cells[0].error
@@ -368,7 +368,7 @@ def test_grid_kind_mismatch_rejected():
     X, y = _grid_data()
     with pytest.raises(InvalidArgument):
         grid_search(X, y, {"linear": [KernelSpec("rbf", 1.0, gamma=0.1)]},
-                    RowSplit(0.8))
+                    SplitSpec(0.8))
 
 
 def test_default_grids_cover_reference_settings():
@@ -381,13 +381,13 @@ def test_default_grids_cover_reference_settings():
 
 def test_split_rows_protocol():
     labels = np.array([0] * 10 + [1] * 5)
-    train, test = split_rows(labels, RowSplit(0.8))
+    train, test = split_rows(labels, SplitSpec(0.8))
     assert list(train) == list(range(8)) + list(range(10, 14))
     assert list(test) == [8, 9, 14]
-    # shuffled mode is deterministic per seed
-    t1, _ = split_rows(labels, RowSplit(0.8, mode="shuffled", seed=5))
-    t2, _ = split_rows(labels, RowSplit(0.8, mode="shuffled", seed=5))
-    t3, _ = split_rows(labels, RowSplit(0.8, mode="shuffled", seed=6))
+    # random mode is deterministic per seed
+    t1, _ = split_rows(labels, SplitSpec(0.8, mode="random", seed=5))
+    t2, _ = split_rows(labels, SplitSpec(0.8, mode="random", seed=5))
+    t3, _ = split_rows(labels, SplitSpec(0.8, mode="random", seed=6))
     assert np.array_equal(t1, t2)
     assert not np.array_equal(t1, t3)
 
