@@ -159,12 +159,11 @@ def cmd_preprocess(args) -> int:
 def cmd_extract(args) -> int:
     ds = signal_io.load_dataset(args.inp)
     flags = dataclasses.replace(_flags_from_args(args), win_s=args.window,
-                                hop_s=args.hop)
+                                hop_s=args.hop, fs=ds.fs)
     windows = pipeline.prepare_windows(ds, flags)
     X, y, starts = features.extract_feature_matrix(windows)
-    meta = pipeline.flags_to_meta(flags)
-    meta["fs"] = repr(float(ds.fs))
-    features.save_feature_table(args.out, X, y, starts, meta=meta)
+    features.save_feature_table(args.out, X, y, starts,
+                                meta=pipeline.flags_to_meta(flags))
     print(f"extracted {X.shape[0]} windows x {X.shape[1]} features "
           f"from {len(ds.entries)} recordings to {args.out}")
     return 0

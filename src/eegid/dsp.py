@@ -318,7 +318,8 @@ def segment_windows(r: Recording, subject_id: int, win_s: float = WINDOW_S,
     """Slice a recording into floor((N - W)/H) + 1 overlapping windows.
 
     W = round(win_s * fs), H = round(hop_s * fs); the trailing partial
-    window is discarded.
+    window is discarded. Each window's data is a read-only view into
+    r.data, not a copy.
     """
     width = int(round(win_s * r.fs))
     hop = int(round(hop_s * r.fs))
@@ -327,13 +328,9 @@ def segment_windows(r: Recording, subject_id: int, win_s: float = WINDOW_S,
     n = r.n_samples
     if n < width:
         raise RecordingTooShort(f"{n} samples < one window of {width}")
-    count = (n - width) // hop + 1
+    views = np.lib.stride_tricks.sliding_window_view(r.data, width, axis=1)
     return [
-        Window(
-            data=r.data[:, i * hop:i * hop + width].copy(),
-            subject_id=subject_id,
-            start_index=i * hop,
-            fs=r.fs,
-        )
-        for i in range(count)
+        Window(data=views[:, start], subject_id=subject_id,
+               start_index=start, fs=r.fs)
+        for start in range(0, n - width + 1, hop)
     ]

@@ -20,6 +20,15 @@ Feature order within a channel is a frozen public contract:
 so a flat vector indexes as channel*10 + feature_id. Degenerate (flat)
 inputs return defined constants instead of NaN: skew 0, kurt 3, Hjorth
 (0, 0, 0), entropies 0.
+
+The scalar functions (`rms` ... `band_power`, `channel_features`) define
+each feature on one channel's samples and are the reference. Windows are
+extracted by one batch kernel instead: `extract_feature_matrix` stacks
+_CHUNK windows at a time into a (chunk, channels, W) array and computes all
+ten features along the last axis, with one rfft for the spectra and one
+bincount for the histograms. It repeats the reference arithmetic, so its
+results equal the scalar functions' bit for bit; the chunking keeps its
+temporaries to a few MB however many windows there are.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ import numpy as np
 
 from .dsp import Window
 from .errors import (
-    EegIdError,
     EmptyBand,
     EmptyInput,
     InvalidArgument,
@@ -49,6 +57,9 @@ BAND_HI = 100.0
 
 # variance below this fraction of max|x|^2 counts as a flat window
 _FLAT_EPS = 1e-24
+
+# windows per _batch_features call; bounds the size of its temporaries
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -237,28 +248,144 @@ def channel_features(x, fs: float) -> np.ndarray:
 
 def extract_feature_vector(w: Window) -> FeatureVector:
     """All channels' features, channel-major, labeled with the window's subject."""
-    blocks = []
-    for i, ch in enumerate(w.data):
-        try:
-            blocks.append(channel_features(ch, w.fs))
-        except EegIdError as e:
-            raise type(e)(f"channel {i}: {e}") from e
-    return FeatureVector(
-        values=np.concatenate(blocks),
-        subject_id=w.subject_id,
-        start_index=w.start_index,
-    )
+    X, _, _ = extract_feature_matrix([w])
+    return FeatureVector(values=X[0], subject_id=w.subject_id,
+                         start_index=w.start_index)
 
 
 def extract_feature_matrix(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack window features: (X: n x 80, labels: n, start indices: n)."""
-    vectors = [extract_feature_vector(w) for w in windows]
-    if not vectors:
+    """Stack window features: (X: n x 80, labels: n, start indices: n).
+
+    All windows must share one shape and sampling rate. They are stacked
+    _CHUNK at a time into a (chunk, channels, W) tensor for _batch_features.
+    """
+    windows = list(windows)
+    if not windows:
         raise EmptyInput("no windows to extract features from")
-    X = np.vstack([v.values for v in vectors])
-    y = np.array([v.subject_id for v in vectors], dtype=int)
-    starts = np.array([v.start_index for v in vectors], dtype=int)
+    shape, fs = windows[0].data.shape, windows[0].fs
+    if any(w.data.shape != shape or w.fs != fs for w in windows):
+        raise InvalidArgument("windows differ in channel count, width or fs")
+    n_ch, width = shape
+    if width < 8:
+        raise TooFewSamples(f"channel 0: need >= 8 samples, got {width}")
+    if fs <= 0:
+        raise InvalidArgument(f"channel 0: fs must be > 0, got {fs}")
+    X = np.empty((len(windows), n_ch * N_FEATURES))
+    for i in range(0, len(windows), _CHUNK):
+        chunk = np.stack([w.data for w in windows[i:i + _CHUNK]])
+        feats = _batch_features(chunk.reshape(-1, width), fs)
+        X[i:i + len(chunk)] = feats.reshape(len(chunk), -1)
+    if not np.isfinite(X).all():
+        raise InvalidArgument("feature matrix contains NaN/Inf")
+    y = np.array([w.subject_id for w in windows], dtype=int)
+    starts = np.array([w.start_index for w in windows], dtype=int)
     return X, y, starts
+
+
+def _batch_features(x: np.ndarray, fs: float) -> np.ndarray:
+    """channel_features of every row of x (rows x W, W >= 8): rows x 10.
+
+    Each feature repeats its scalar function's arithmetic along axis 1, so
+    the results are equal bit for bit; the flat-input constants are
+    selected with np.where on the same _FLAT_EPS tests.
+    """
+    n = x.shape[1]
+    mean = np.mean(x, axis=1, keepdims=True)
+    d = x - mean
+    m2 = np.mean(d * d, axis=1)  # == np.var(x, axis=1)
+    peak = np.max(np.abs(x), axis=1)
+    flat = m2 <= _FLAT_EPS * peak * peak
+
+    dx = np.diff(x, axis=1)
+    var_dx = np.var(dx, axis=1)
+    peak_dx = np.max(np.abs(dx), axis=1)
+    flat_dx = var_dx <= _FLAT_EPS * peak_dx * peak_dx
+    var_ddx = np.var(np.diff(dx, axis=1), axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # libm pow, as in the scalar m2 ** 1.5; numpy's SIMD power can
+        # differ from it in the last bit
+        m2_15 = (m2.astype(object) ** 1.5).astype(float)
+        skew = np.where(flat, 0.0, np.mean(d ** 3, axis=1) / m2_15)
+        kurt = np.where(flat, 3.0, np.mean(d ** 4, axis=1) / (m2 * m2))
+        mobility = np.sqrt(var_dx / m2)
+        complexity = np.sqrt(var_ddx / var_dx) / mobility
+    smooth = ~flat & ~flat_dx
+    activity = np.where(flat, 0.0, m2)
+    mobility = np.where(smooth, mobility, 0.0)
+    complexity = np.where(smooth, complexity, 0.0)
+
+    w = np.hanning(n)
+    power = np.abs(np.fft.rfft(d * w, axis=1)) ** 2 / (fs * np.sum(w * w))
+    if n % 2 == 0:
+        power[:, 1:-1] *= 2.0  # all but DC and Nyquist
+    else:
+        power[:, 1:] *= 2.0  # no Nyquist bin
+    total = power.sum(axis=1)
+    q = power / np.where(total > 0, total, 1.0)[:, None]
+    spec_ent = np.where(total > 0,
+                        _neg_plogp(q) / np.log(power.shape[1]), 0.0)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    band = (freqs >= BAND_LO) & (freqs <= BAND_HI)
+    if not band.any():
+        raise EmptyBand(f"channel 0: no PSD bins inside [{BAND_LO}, {BAND_HI}] Hz")
+    # row-major, so the trapezoid's sum along axis 1 is pairwise per row as
+    # in the 1-D scalar path (boolean column indexing returns column-major)
+    band_pow = np.trapezoid(np.ascontiguousarray(power[:, band]), freqs[band],
+                            axis=1)
+
+    return np.stack([
+        np.sqrt(np.mean(x * x, axis=1)),
+        np.sqrt(m2),
+        skew,
+        kurt,
+        activity,
+        mobility,
+        complexity,
+        _shannon_rows(x),
+        spec_ent,
+        band_pow,
+    ], axis=1)
+
+
+def _shannon_rows(x: np.ndarray) -> np.ndarray:
+    """shannon_entropy of every row: np.histogram's equal-width binning
+    (edges by linspace, index from the scaled offset, then its one-step
+    corrections against the edges, last bin closed) done with per-row
+    edges and one bincount."""
+    rows, n = x.shape
+    lo = np.min(x, axis=1)
+    hi = np.max(x, axis=1)
+    flat = lo == hi
+    span = np.where(flat, 1.0, hi - lo)[:, None]
+    edges = np.arange(ENTROPY_BINS + 1) * (span / ENTROPY_BINS) + lo[:, None]
+    edges[:, -1] = hi
+    idx = ((x - lo[:, None]) / span * ENTROPY_BINS).astype(np.intp)
+    idx[idx == ENTROPY_BINS] -= 1
+    row = np.arange(rows)[:, None]
+    idx[x < edges[row, idx]] -= 1
+    idx[(x >= edges[row, idx + 1]) & (idx != ENTROPY_BINS - 1)] += 1
+    counts = np.bincount((idx + ENTROPY_BINS * row).ravel(),
+                         minlength=rows * ENTROPY_BINS)
+    p = counts.reshape(rows, ENTROPY_BINS) / n
+    return np.where(flat, 0.0, _neg_plogp(p))
+
+
+def _neg_plogp(p: np.ndarray) -> np.ndarray:
+    """-sum(p * log p) over each row's positive entries.
+
+    Rows are grouped by their number of positive entries k and summed as
+    (m, k) arrays: a pairwise sum's grouping depends on its length, so this
+    matches np.sum over the compacted 1-D row exactly.
+    """
+    keep = p > 0
+    width = keep.sum(axis=1)
+    out = np.zeros(len(p))
+    for k in np.unique(width[width > 0]):
+        rows = width == k
+        q = p[rows][keep[rows]].reshape(-1, k)
+        out[rows] = -np.sum(q * np.log(q), axis=1)
+    return out
 
 
 def feature_column_names(n_channels: int) -> list[str]:

@@ -7,8 +7,9 @@ between a random train/test split would leak near-duplicate samples, so
 the first ceil(f*n) windows of each subject train and the rest test.
 Random (seeded) splitting is available for comparison. `split_dataset`
 applies the protocol of `svm.split_rows`, which the CLI uses on rows.
-Feature tables and models store `PreprocessFlags`, window geometry
-included, through one codec (`flags_to_meta`/`flags_from_meta`).
+Feature tables and models store `PreprocessFlags`, window geometry and
+sampling rate included, and models store their `KernelSpec`, through one
+dataclass-fields codec (`flags_to_meta`/`flags_from_meta`).
 
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from .errors import (
     CorruptModel,
     EegIdError,
     EmptyDataset,
+    InconsistentSamplingRate,
     InvalidArgument,
     IoFailure,
     MissingFile,
@@ -40,7 +43,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, N_FEATURES, extract_feature_matrix
 from .reduction import PcaModel, Standardizer, fit_pca, fit_standardizer, pca_transform
-from .signal_io import LabeledDataset, Recording
+from .signal_io import DEFAULT_FS, LabeledDataset, Recording
 from .svm import (
     DEFAULT_MAX_PASSES,
     DEFAULT_TOL,
@@ -59,7 +62,11 @@ FEATURE_ORDER_VERSION = "1"
 
 @dataclass(frozen=True)
 class PreprocessFlags:
-    """Configuration of the filtering/cleaning chain and the windowing."""
+    """Configuration of the filtering/cleaning chain and the windowing.
+
+    fs is the sampling rate the chain ran at: fit_pipeline takes it from
+    the training windows, and identify refuses recordings at another rate.
+    """
 
     notch_f0: float = 60.0
     notch_q: float = dsp.DEFAULT_NOTCH_Q
@@ -71,31 +78,59 @@ class PreprocessFlags:
     asr_win_s: float = dsp.DEFAULT_ASR_WIN_S
     win_s: float = dsp.WINDOW_S
     hop_s: float = dsp.HOP_S
+    fs: float = DEFAULT_FS
 
 
 def flags_to_meta(flags: PreprocessFlags) -> dict[str, str]:
-    """Flatten flags to strings, in field order: bools as 0/1, the rest by
-    repr. Feature-table headers and model files both store this form."""
-    meta = {}
-    for f in dataclasses.fields(PreprocessFlags):
-        value = getattr(flags, f.name)
-        meta[f.name] = str(int(value)) if isinstance(value, bool) else repr(value)
-    return meta
+    """Feature-table headers and model files store flags in this form."""
+    return _fields_to_meta(flags)
 
 
 def flags_from_meta(meta: dict[str, str]) -> PreprocessFlags:
-    """Rebuild flags from flags_to_meta output; missing keys take defaults
-    and unknown keys are ignored."""
+    """Inverse of flags_to_meta; missing keys take their defaults."""
+    return _fields_from_meta(PreprocessFlags, meta)
+
+
+def _fields_to_meta(obj) -> dict[str, str]:
+    """A dataclass's fields as strings, in field order: None as -, bools as
+    0/1, strings as they are, the rest by repr."""
+    meta = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is None:
+            meta[f.name] = "-"
+        elif isinstance(value, bool):
+            meta[f.name] = str(int(value))
+        elif isinstance(value, str):
+            meta[f.name] = value
+        else:
+            meta[f.name] = repr(value)
+    return meta
+
+
+def _fields_from_meta(cls, meta: dict[str, str]):
+    """Rebuild a dataclass from _fields_to_meta output, parsing each value
+    by its annotated type. Missing keys take the field default (a field
+    without one raises InvalidArgument); unknown keys are ignored."""
+    hints = typing.get_type_hints(cls)
     values = {}
-    try:
-        for f in dataclasses.fields(PreprocessFlags):
-            if f.name in meta:
-                kind = type(f.default)
-                text = meta[f.name]
-                values[f.name] = bool(int(text)) if kind is bool else kind(text)
-    except ValueError as e:
-        raise InvalidArgument(f"bad preprocessing metadata: {e}") from e
-    return PreprocessFlags(**values)
+    for f in dataclasses.fields(cls):
+        if f.name not in meta:
+            if f.default is dataclasses.MISSING:
+                raise InvalidArgument(f"{cls.__name__} needs {f.name!r}")
+            continue
+        text = meta[f.name]
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        try:
+            if text == "-" and type(None) in kinds:
+                values[f.name] = None
+            elif kinds[0] is bool:
+                values[f.name] = bool(int(text))
+            else:
+                values[f.name] = kinds[0](text)
+        except ValueError as e:
+            raise InvalidArgument(f"bad {cls.__name__} {f.name}: {e}") from e
+    return cls(**values)
 
 
 def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags()) -> Recording:
@@ -209,11 +244,14 @@ def fit_from_features(X, y, kernel: KernelSpec, pca_target: float = 0.95,
 def fit_pipeline(train_windows, kernel: KernelSpec, pca_target: float = 0.95,
                  tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES,
                  flags: PreprocessFlags = PreprocessFlags()) -> TrainedPipeline:
-    """Fit every stage on training windows only."""
+    """Fit every stage on training windows only; the model records the
+    windows' sampling rate as flags.fs."""
+    train_windows = list(train_windows)
     try:
         X, y, _ = extract_feature_matrix(train_windows)
     except EegIdError as e:
         raise _stage("features", e) from e
+    flags = dataclasses.replace(flags, fs=float(train_windows[0].fs))
     return fit_from_features(X, y, kernel, pca_target, tol, max_passes, flags)
 
 
@@ -296,6 +334,11 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
         raise ChannelMismatch(
             f"recording has {r.data.shape[0]} channels, model expects {p.n_channels}"
         )
+    if r.fs != p.flags.fs:
+        raise InconsistentSamplingRate(
+            f"[preprocess] recording sampled at {r.fs:g} Hz, model trained "
+            f"at {p.flags.fs:g} Hz"
+        )
     cleaned = preprocess_recording(r, p.flags)
     windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
     X, _, _ = extract_feature_matrix(windows)
@@ -339,13 +382,8 @@ def _payload_lines(p: TrainedPipeline) -> list[str]:
     lines.append(f"components {p.pca.n_components} {p.pca.n_features}")
     for row in p.pca.components:
         lines.append(_fmt_vector(row))
-    k = p.svm.kernel
     lines.append("[svm]")
-    lines.append(f"kind {k.kind}")
-    lines.append(f"c {repr(k.c)}")
-    lines.append(f"gamma {'-' if k.gamma is None else repr(k.gamma)}")
-    lines.append(f"degree {'-' if k.degree is None else k.degree}")
-    lines.append(f"coef0 {repr(k.coef0)}")
+    lines += [f"{key} {value}" for key, value in _fields_to_meta(p.svm.kernel).items()]
     lines.append(f"classes {' '.join(str(c) for c in p.svm.classes)}")
     for (a, b), machine in zip(p.svm.pairs, p.svm.machines):
         lines.append(f"[pair {a} {b}]")
@@ -444,19 +482,11 @@ def load_model(path) -> TrainedPipeline:
         pca = PcaModel(components=components, explained_variance=ev,
                        explained_variance_ratio=ratio, target_ratio=target)
         r.expect("[svm]")
-        kind = r.expect("kind")
-        c = float(r.expect("c"))
-        gamma_s = r.expect("gamma")
-        degree_s = r.expect("degree")
-        coef0 = float(r.expect("coef0"))
-        kernel = KernelSpec(
-            kind=kind,
-            c=c,
-            gamma=None if gamma_s == "-" else float(gamma_s),
-            degree=None if degree_s == "-" else int(degree_s),
-            coef0=coef0,
-        )
-        classes = tuple(int(tok) for tok in r.expect("classes").split())
+        svm_meta = r.section()
+        kernel = _fields_from_meta(KernelSpec, svm_meta)
+        if "classes" not in svm_meta:
+            raise CorruptModel("[svm] section has no classes line")
+        classes = tuple(int(tok) for tok in svm_meta["classes"].split())
         pairs = []
         machines = []
         for ia, a in enumerate(classes):

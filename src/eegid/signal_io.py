@@ -14,6 +14,7 @@ share across threads.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -139,6 +140,9 @@ class SynthProfile:
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "ch:"
+# rows read and converted per np.array call; bounds the text and the cell
+# strings held at once
+_BLOCK_ROWS = 1024
 
 
 def save_recording_csv(recording: Recording, path) -> None:
@@ -159,11 +163,15 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
     """Load a recording CSV written by save_recording_csv.
 
     The file stores no sampling rate; pass fs explicitly (the dataset
-    loader passes the value from meta.txt).
+    loader passes the value from meta.txt). Rows are read _BLOCK_ROWS at a
+    time and each block's cells are converted in one array call; only a
+    block that fails it is parsed cell by cell, to report the first bad
+    row and column.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such recording file: {path}")
+    blocks = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         names = header.split(",") if header else []
@@ -172,27 +180,48 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
         channels = tuple(n[len(_HEADER_PREFIX):] for n in names)
         if any(not c for c in channels):
             raise MalformedHeader(f"{path}: empty channel name in header")
-        n_ch = len(channels)
-        rows = []
-        for i, line in enumerate(fh):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != n_ch:
-                raise RaggedRows(
-                    f"{path}: row {i} has {len(cells)} cells, expected {n_ch}"
-                )
-            vals = np.empty(n_ch)
-            for j, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise NonNumericSample(i, j, cell) from None
-                if not np.isfinite(v):
-                    raise NonNumericSample(i, j, cell)
-                vals[j] = v
-            rows.append(vals)
-    if not rows:
+        row = 0
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            blocks.append(_parse_block(path, lines, len(channels), row))
+            row += len(lines)
+    if not blocks:
         raise InvalidRecording(f"{path}: no data rows")
-    return Recording(channels=channels, fs=fs, data=np.array(rows).T)
+    return Recording(channels=channels, fs=fs, data=np.concatenate(blocks).T)
+
+
+def _parse_block(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray:
+    """File lines (newlines kept) as a (rows, n_ch) array."""
+    text = "".join(lines)
+    cells = text.removesuffix("\n").replace("\n", ",").split(",")
+    try:
+        data = np.array(cells, dtype=float).reshape(len(lines), n_ch)
+    except ValueError:  # a cell float() rejects, or cells that do not fill the rows
+        data = None
+    if (data is None or any(line.count(",") != n_ch - 1 for line in lines)
+            or not np.isfinite(data).all()):
+        data = _parse_rows(path, lines, n_ch, first_row)
+    return data
+
+
+def _parse_rows(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray:
+    """Cell-by-cell parse that raises RaggedRows or NonNumericSample for
+    the first bad row in file order."""
+    rows = np.empty((len(lines), n_ch))
+    for i, line in enumerate(lines, start=first_row):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != n_ch:
+            raise RaggedRows(
+                f"{path}: row {i} has {len(cells)} cells, expected {n_ch}"
+            )
+        for j, cell in enumerate(cells):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise NonNumericSample(i, j, cell) from None
+            if not np.isfinite(v):
+                raise NonNumericSample(i, j, cell)
+            rows[i - first_row, j] = v
+    return rows
 
 
 # ---------------------------------------------------------------------------

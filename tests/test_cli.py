@@ -154,6 +154,36 @@ def test_identify_corrupt_model_exits_nonzero(world, tmp_path, capsys):
     assert "v9" in capsys.readouterr().err
 
 
+def test_identify_rejects_other_sampling_rate(world, tmp_path, capsys):
+    _, ds_dir, _, model = world
+    rec_csv = tmp_path / "rec.csv"
+    signal_io.save_recording_csv(signal_io.load_dataset(ds_dir).entries[1][1], rec_csv)
+    rc = main(["identify", "--model", str(model), "--in", str(rec_csv),
+               "--fs", "220"])
+    assert rc == 2
+    assert ("[preprocess] recording sampled at 220 Hz, model trained at 250 Hz"
+            in capsys.readouterr().err)
+
+
+def test_sampling_rate_travels_from_extract_to_identify(tmp_path, capsys):
+    ds_dir = tmp_path / "ds"
+    feat = tmp_path / "features.csv"
+    model = tmp_path / "model.txt"
+    assert main(["synth", "--subjects", "2", "--duration", "12", "--fs", "500",
+                 "--seed", "8", "--out", str(ds_dir)]) == 0
+    assert main(["extract", "--in", str(ds_dir), "--out", str(feat)]) == 0
+    assert main(["train", "--features", str(feat), "--model", str(model),
+                 "--kernel", "linear", "--c", "1"]) == 0
+    assert load_model(model).flags.fs == 500.0
+    rec_csv = tmp_path / "rec.csv"
+    signal_io.save_recording_csv(signal_io.load_dataset(ds_dir).entries[0][1], rec_csv)
+    assert main(["identify", "--model", str(model), "--in", str(rec_csv)]) == 2
+    capsys.readouterr()
+    assert main(["identify", "--model", str(model), "--in", str(rec_csv),
+                 "--fs", "500"]) == 0
+    assert "label: 0" in capsys.readouterr().out
+
+
 def test_synth_needs_two_subjects(tmp_path, capsys):
     rc = main(["synth", "--subjects", "1", "--out", str(tmp_path / "ds")])
     assert rc == 2

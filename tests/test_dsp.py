@@ -301,6 +301,16 @@ def test_window_count_matches_formula():
     assert [w.start_index for w in wins[:3]] == [0, 100, 200]
 
 
+def test_windows_are_read_only_views():
+    r = _rec(np.random.default_rng(11).standard_normal((2, 1000)))
+    wins = segment_windows(r, 0)
+    assert np.array_equal(wins[1].data, r.data[:, 100:300])
+    assert all(np.shares_memory(w.data, r.data) for w in wins)
+    with pytest.raises(ValueError):
+        wins[0].data[0, 0] = 1.0
+    assert r.data.flags.writeable
+
+
 def test_window_boundaries():
     r = _rec(np.arange(200.0)[None, :])
     wins = segment_windows(r, 0)

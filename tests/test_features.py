@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from eegid.dsp import Window
-from eegid.errors import EmptyBand, EmptyInput, TooFewSamples
+from eegid.errors import EmptyBand, EmptyInput, InvalidArgument, TooFewSamples
 from eegid.features import (
+    _CHUNK,
     BAND_HI,
     BAND_LO,
     ENTROPY_BINS,
@@ -332,8 +333,8 @@ def test_band_power_additivity():
 # Vector assembly
 # ---------------------------------------------------------------------------
 
-def _window(data, subject=0, start=0):
-    return Window(data=data, subject_id=subject, start_index=start, fs=FS)
+def _window(data, subject=0, start=0, fs=FS):
+    return Window(data=data, subject_id=subject, start_index=start, fs=fs)
 
 
 def test_feature_order_contract():
@@ -464,3 +465,89 @@ def test_feature_vector_validation():
         FeatureVector(values=np.ones(7), subject_id=0)
     with pytest.raises(Exception):
         FeatureVector(values=np.array([np.nan] * 10), subject_id=0)
+
+
+# ---------------------------------------------------------------------------
+# Batch kernel against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _assert_matches_reference(windows):
+    """extract_feature_matrix equals channel_features per channel, bit for
+    bit: the batch kernel repeats the scalar arithmetic along an axis."""
+    X, _, _ = extract_feature_matrix(windows)
+    want = np.array([np.concatenate([channel_features(ch, w.fs) for ch in w.data])
+                     for w in windows])
+    assert X.shape == want.shape
+    bad = np.argwhere(X != want)
+    assert bad.size == 0, f"first mismatch at (window, column) {tuple(bad[0])}"
+
+
+def test_batch_matches_reference_on_random_windows():
+    rng = np.random.default_rng(40)
+    data = (rng.standard_normal((40, 3, 200)) * rng.uniform(0.1, 50.0, (40, 1, 1))
+            + rng.uniform(-20.0, 20.0, (40, 3, 1)))
+    _assert_matches_reference([_window(d) for d in data])
+
+
+def test_batch_matches_reference_on_flat_and_ramp_channels():
+    rng = np.random.default_rng(41)
+    data = np.stack([np.full(200, 5.5),             # flat window
+                     np.arange(200.0) * 0.25 - 3.0,  # flat derivative
+                     np.zeros(200),
+                     rng.standard_normal(200)])
+    X, _, _ = extract_feature_matrix([_window(data)])
+    assert np.array_equal(X[0, :10], [5.5, 0, 0, 3, 0, 0, 0, 0, 0, 0])
+    assert np.array_equal(X[0, 15:17], [0.0, 0.0])  # ramp: mobility, complexity
+    _assert_matches_reference([_window(data)])
+
+
+def test_batch_histogram_agrees_on_bin_edges():
+    # every sample sits on one of np.histogram's own bin edges or one ulp to
+    # either side, where the scaled-offset bin index can be one off and its
+    # corrections decide
+    rng = np.random.default_rng(42)
+    windows = []
+    for _ in range(12):
+        lo, hi = np.sort(rng.uniform(-30.0, 30.0, 2))
+        edges = np.linspace(lo, hi, ENTROPY_BINS + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        data = rng.choice(np.clip(near, lo, hi), size=(2, 200))
+        data[:, 0], data[:, 1] = lo, hi  # so the histogram range is [lo, hi]
+        windows.append(_window(data))
+    _assert_matches_reference(windows)
+
+
+@pytest.mark.parametrize("width", [8, 9, 201])
+def test_batch_matches_reference_at_odd_and_minimum_width(width):
+    rng = np.random.default_rng(43)
+    _assert_matches_reference(
+        [_window(d) for d in rng.standard_normal((5, 2, width))])
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK, _CHUNK + 1])
+def test_batch_matches_reference_across_chunk_boundary(count):
+    rng = np.random.default_rng(44)
+    wins = [_window(d, subject=i % 3, start=100 * i)
+            for i, d in enumerate(rng.standard_normal((count, 2, 200)))]
+    _assert_matches_reference(wins)
+    _, y, starts = extract_feature_matrix(wins)
+    assert list(y) == [i % 3 for i in range(count)]
+    assert list(starts) == [100 * i for i in range(count)]
+
+
+def test_batch_rejects_bad_window_sets():
+    rng = np.random.default_rng(45)
+    with pytest.raises(TooFewSamples, match="channel 0"):
+        extract_feature_matrix([_window(rng.standard_normal((2, 7)))])
+    with pytest.raises(EmptyInput):
+        extract_feature_matrix([])
+    mixed = [
+        [_window(rng.standard_normal((2, 200))), _window(rng.standard_normal((2, 201)))],
+        [_window(rng.standard_normal((2, 200))), _window(rng.standard_normal((3, 200)))],
+        [_window(rng.standard_normal((2, 200))),
+         _window(rng.standard_normal((2, 200)), fs=500.0)],
+    ]
+    for wins in mixed:
+        with pytest.raises(InvalidArgument):
+            extract_feature_matrix(wins)

@@ -12,6 +12,7 @@ from eegid.errors import (
     ChannelMismatch,
     CorruptModel,
     EmptyDataset,
+    InconsistentSamplingRate,
     InvalidArgument,
     MissingFile,
     NonConvergence,
@@ -150,6 +151,12 @@ def test_fit_stage_tag_on_nonconvergence():
                      tol=1e-12, max_passes=1)
 
 
+def test_fit_records_sampling_rate_of_windows():
+    windows = make_windows(0, 8, fs=500.0) + make_windows(1, 8, fs=500.0)
+    model = fit_pipeline(windows, KernelSpec("rbf", c=1.0, gamma=0.1))
+    assert model.flags.fs == 500.0
+
+
 def test_pipeline_dimension_chain(small_world):
     _, _, _, _, model = small_world
     assert model.standardizer.n_features == 80
@@ -266,6 +273,19 @@ def no_asr_model():
     return fit_pipeline(train, KernelSpec("linear", c=1.0), flags=flags)
 
 
+def test_identify_rejects_other_sampling_rate(small_world):
+    # 12 s relabelled as 220 Hz would otherwise vote over 33 windows, not 29
+    ds, _, _, _, model = small_world
+    rec = ds.entries[1][1]
+    relabelled = signal_io.Recording(channels=rec.channels, fs=220.0,
+                                     data=rec.data[:, :3000])
+    assert model.flags.fs == 250.0
+    with pytest.raises(InconsistentSamplingRate,
+                       match=r"^\[preprocess\] recording sampled at 220 Hz, "
+                             r"model trained at 250 Hz"):
+        identify(model, relabelled)
+
+
 def test_identify_too_short(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,
@@ -332,6 +352,53 @@ def test_load_model_without_window_lines_takes_defaults(tmp_path, small_world):
     loaded = load_model(path)
     assert loaded.flags == model.flags == PreprocessFlags()
     assert np.array_equal(loaded.pca.components, model.pca.components)
+
+
+def _rewrite_payload(path, keep):
+    """Keep the payload lines for which keep(line) holds; re-sign the file."""
+    head, _, payload = path.read_text().split("\n", 2)
+    payload = "".join(ln for ln in payload.splitlines(keepends=True) if keep(ln))
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(f"{head}\nchecksum {checksum}\n{payload}")
+
+
+def test_load_model_without_fs_line_is_250_hz(tmp_path, small_world):
+    model = small_world[4]
+    path = tmp_path / "model.txt"
+    save_model(dataclasses.replace(
+        model, flags=dataclasses.replace(model.flags, fs=500.0)), path)
+    assert load_model(path).flags.fs == 500.0
+    _rewrite_payload(path, lambda ln: not ln.startswith("fs "))
+    assert load_model(path).flags.fs == 250.0
+
+
+@pytest.mark.parametrize("key", ["kind", "c", "gamma", "classes"])
+def test_load_model_missing_svm_line_is_corrupt(tmp_path, small_world, key):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda ln: not ln.startswith(key + " "))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
+@pytest.mark.parametrize("spec, lines", [
+    (KernelSpec("rbf", c=100.0, gamma=0.01),
+     ["kind rbf", "c 100.0", "gamma 0.01", "degree -", "coef0 0.0"]),
+    (KernelSpec("poly", c=1.0, gamma=0.1, degree=2, coef0=1.5),
+     ["kind poly", "c 1.0", "gamma 0.1", "degree 2", "coef0 1.5"]),
+    (KernelSpec("linear", c=1),
+     ["kind linear", "c 1", "gamma -", "degree -", "coef0 0.0"]),
+])
+def test_svm_section_lines_round_trip(tmp_path, spec, lines):
+    windows = make_windows(0, 8) + make_windows(1, 8)
+    model = fit_pipeline(windows, spec)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    text = path.read_text().splitlines()
+    start = text.index("[svm]") + 1
+    assert text[start:start + 5] == lines
+    assert text[start + 5] == "classes 0 1"
+    assert load_model(path).svm.kernel == model.svm.kernel
 
 
 def test_load_missing_file(tmp_path):

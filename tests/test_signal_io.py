@@ -60,6 +60,45 @@ def test_ragged_rows_rejected(tmp_path):
         load_recording_csv(p)
 
 
+def test_blank_middle_line_rejected(tmp_path):
+    p = tmp_path / "r.csv"
+    p.write_text("ch:A,ch:B\n1,2\n\n3,4\n")
+    with pytest.raises(RaggedRows, match="row 1 has 1 cells"):
+        load_recording_csv(p)
+    p.write_text("ch:A\n1\n\n3\n")
+    with pytest.raises(NonNumericSample) as ei:
+        load_recording_csv(p)
+    assert (ei.value.row, ei.value.col) == (1, 0)
+
+
+@pytest.mark.parametrize("token", ["inf", "1e400", "-Infinity"])
+def test_infinite_cell_rejected_with_position(tmp_path, token):
+    p = tmp_path / "r.csv"
+    p.write_text(f"ch:A,ch:B\n1,2\n3,4\n5,{token}\n")
+    with pytest.raises(NonNumericSample) as ei:
+        load_recording_csv(p)
+    assert (ei.value.row, ei.value.col) == (2, 1)
+
+
+def test_bad_cell_after_the_first_rows_keeps_file_position(tmp_path):
+    rows = [f"{i},{0.5 * i}" for i in range(3000)]
+    p = tmp_path / "r.csv"
+    p.write_text("ch:A,ch:B\n" + "\n".join(rows) + "\n")
+    assert load_recording_csv(p).data[1, 2999] == 1499.5
+    rows[2100] = "2100,x"
+    p.write_text("ch:A,ch:B\n" + "\n".join(rows) + "\n")
+    with pytest.raises(NonNumericSample) as ei:
+        load_recording_csv(p)
+    assert (ei.value.row, ei.value.col) == (2100, 1)
+
+
+def test_rows_that_compensate_in_cell_count_still_ragged(tmp_path):
+    p = tmp_path / "r.csv"
+    p.write_text("ch:A,ch:B\n1,2,3\n4\n")  # 4 cells, 2 rows, 2 channels
+    with pytest.raises(RaggedRows, match="row 0 has 3 cells"):
+        load_recording_csv(p)
+
+
 def test_missing_file_and_bad_header(tmp_path):
     with pytest.raises(MissingFile):
         load_recording_csv(tmp_path / "absent.csv")
