@@ -212,8 +212,10 @@ def _print_report(rep: pipeline.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    X, y, _, split, _, test_idx = _load_split_features(args)
+    X, y, meta, split, _, test_idx = _load_split_features(args)
     model = pipeline.load_model(args.model)
+    pipeline.check_sampling_rate(model, pipeline.flags_from_meta(meta).fs,
+                                 "features")
     rep = pipeline.evaluate_features(model, X[test_idx], y[test_idx],
                                      split_description=split.describe())
     _print_report(rep)

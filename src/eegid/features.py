@@ -171,14 +171,19 @@ def hjorth(x) -> tuple[float, float, float]:
 
 
 def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float:
-    """Histogram entropy over [min, max] with equal-width bins, natural log."""
+    """Histogram entropy over [min, max] with equal-width bins, natural log.
+
+    The edges are np.histogram's own (np.linspace(min, max, bins + 1)),
+    passed explicitly: a range only a few ulps wide then repeats edges and
+    leaves empty bins, where bins=int would refuse the range.
+    """
     x = _as_samples(x, 2, "shannon_entropy")
     if bins < 1:
         raise InvalidArgument(f"bins must be >= 1, got {bins}")
     lo, hi = float(np.min(x)), float(np.max(x))
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    counts, _ = np.histogram(x, bins=np.linspace(lo, hi, bins + 1))
     p = counts[counts > 0] / x.size
     return float(-np.sum(p * np.log(p)))
 

@@ -272,11 +272,21 @@ class EvalReport:
         return int(self.confusion.sum())
 
 
+def check_sampling_rate(p: TrainedPipeline, fs: float, what: str) -> None:
+    """Raise InconsistentSamplingRate unless fs is the model's rate."""
+    if fs != p.flags.fs:
+        raise InconsistentSamplingRate(
+            f"[preprocess] {what} sampled at {fs:g} Hz, model trained "
+            f"at {p.flags.fs:g} Hz"
+        )
+
+
 def evaluate(p: TrainedPipeline, test_windows,
              split_description: str = "") -> EvalReport:
     """Predict every test window and tally the confusion matrix."""
     if not test_windows:
         raise EmptyDataset("no test windows")
+    check_sampling_rate(p, test_windows[0].fs, "windows")
     X, y, _ = extract_feature_matrix(test_windows)
     return evaluate_features(p, X, y, split_description)
 
@@ -334,11 +344,7 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
         raise ChannelMismatch(
             f"recording has {r.data.shape[0]} channels, model expects {p.n_channels}"
         )
-    if r.fs != p.flags.fs:
-        raise InconsistentSamplingRate(
-            f"[preprocess] recording sampled at {r.fs:g} Hz, model trained "
-            f"at {p.flags.fs:g} Hz"
-        )
+    check_sampling_rate(p, r.fs, "recording")
     cleaned = preprocess_recording(r, p.flags)
     windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
     X, _, _ = extract_feature_matrix(windows)

@@ -165,6 +165,17 @@ def test_identify_rejects_other_sampling_rate(world, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_evaluate_rejects_features_of_other_sampling_rate(world, tmp_path, capsys):
+    _, _, feat, model = world
+    X, y, starts, meta = load_feature_table(feat)
+    relabelled = tmp_path / "features_500.csv"
+    save_feature_table(relabelled, X, y, starts, meta={**meta, "fs": "500.0"})
+    rc = main(["evaluate", "--features", str(relabelled), "--model", str(model)])
+    assert rc == 2
+    assert ("[preprocess] features sampled at 500 Hz, model trained at 250 Hz"
+            in capsys.readouterr().err)
+
+
 def test_sampling_rate_travels_from_extract_to_identify(tmp_path, capsys):
     ds_dir = tmp_path / "ds"
     feat = tmp_path / "features.csv"

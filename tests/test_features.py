@@ -494,10 +494,13 @@ def test_batch_matches_reference_on_flat_and_ramp_channels():
     data = np.stack([np.full(200, 5.5),             # flat window
                      np.arange(200.0) * 0.25 - 3.0,  # flat derivative
                      np.zeros(200),
-                     rng.standard_normal(200)])
+                     rng.standard_normal(200),
+                     # a range of one ulp: 16 bins repeat edges
+                     np.array([1.0, np.nextafter(1.0, 2.0)] * 100)])
     X, _, _ = extract_feature_matrix([_window(data)])
     assert np.array_equal(X[0, :10], [5.5, 0, 0, 3, 0, 0, 0, 0, 0, 0])
     assert np.array_equal(X[0, 15:17], [0.0, 0.0])  # ramp: mobility, complexity
+    assert X[0, 40 + FEATURE_NAMES.index("shan_ent")] == math.log(2.0)
     _assert_matches_reference([_window(data)])
 
 

@@ -286,6 +286,16 @@ def test_identify_rejects_other_sampling_rate(small_world):
         identify(model, relabelled)
 
 
+def test_evaluate_rejects_other_sampling_rate(small_world):
+    _, _, _, test, model = small_world
+    relabelled = [dataclasses.replace(w, fs=500.0) for w in test]
+    with pytest.raises(InconsistentSamplingRate,
+                       match=r"^\[preprocess\] windows sampled at 500 Hz, "
+                             r"model trained at 250 Hz"):
+        evaluate(model, relabelled)
+    assert evaluate(model, test).n_test == len(test)
+
+
 def test_identify_too_short(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,

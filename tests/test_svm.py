@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eegid import svm
 from eegid.errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -13,6 +14,7 @@ from eegid.svm import (
     BinarySvm,
     GridCell,
     KernelSpec,
+    MulticlassSvmModel,
     SplitSpec,
     best_per_kind,
     decision_values,
@@ -120,17 +122,59 @@ def test_dual_feasible_at_every_step():
     X, labels = _blobs(rng, [(-1.0, 0.0), (1.0, 0.0)], 30, spread=1.2)
     y = np.where(labels == 1, 1.0, -1.0)
     c = 5.0
-    seen = []
+    for spec in (KernelSpec("rbf", c, gamma=0.7), KernelSpec("linear", c),
+                 KernelSpec("poly", c, gamma=0.5, degree=3)):
+        seen = [0.0]  # the dual objective at alpha = 0
 
-    def hook(alpha, b):
-        seen.append(True)
-        assert np.all(alpha >= -1e-9)
-        assert np.all(alpha <= c + 1e-9)
-        assert abs(np.dot(alpha, y)) <= 1e-9
+        def hook(alpha, b):
+            assert np.all(alpha >= -1e-9)
+            assert np.all(alpha <= c + 1e-9)
+            assert abs(np.dot(alpha, y)) <= 1e-9
+            # no pair update may lower the dual objective
+            w = dual_objective(spec, X, y, alpha)
+            assert w >= seen[-1] - 1e-12 * abs(seen[-1]), (
+                spec.describe(), len(seen), w, seen[-1])
+            seen.append(w)
 
-    train_binary_smo(X, y, KernelSpec("rbf", c, gamma=0.7), tol=1e-3,
-                     step_hook=hook)
-    assert len(seen) > 0
+        train_binary_smo(X, y, spec, tol=1e-3, step_hook=hook)
+        assert len(seen) > 1, spec.describe()
+
+
+def test_uncached_rows_match_cached_gram(monkeypatch):
+    rng = np.random.default_rng(76)
+    X, labels = _blobs(rng, [(-1.0, 0.0, 0.5), (1.0, 0.3, -0.5)], 40, spread=1.0)
+    y = np.where(labels == 1, 1.0, -1.0)
+    n = len(y)
+    probes = rng.standard_normal((50, 3)) * 1.5
+    specs = (KernelSpec("linear", 1.0), KernelSpec("poly", 2.0, gamma=0.5, degree=3),
+             KernelSpec("rbf", 5.0, gamma=0.5))
+    # a one-row gram may differ in the last bit from a row of the full
+    # matrix, which can steer the solver down another path to the same
+    # optimum; a tight tolerance pins both runs to that optimum
+    tol = 1e-11
+    cached = [train_binary_smo(X, y, spec, tol=tol) for spec in specs]
+    shapes = []
+    real_gram = svm.gram
+
+    def counting_gram(k, A, B):
+        shapes.append((np.atleast_2d(A).shape[0], np.atleast_2d(B).shape[0]))
+        return real_gram(k, A, B)
+
+    monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", n - 1)
+    monkeypatch.setattr(svm, "gram", counting_gram)
+    for spec, want in zip(specs, cached):
+        shapes.clear()
+        steps = []
+        got = train_binary_smo(X, y, spec, tol=tol,
+                               step_hook=lambda alpha, b: steps.append(b))
+        # two kernel rows per pair update and no other kernel call: no
+        # n x n matrix and no per-element diagonal
+        assert shapes == [(1, n)] * (2 * len(steps)), spec.describe()
+        assert np.array_equal(got.support_vectors, want.support_vectors)
+        assert np.max(np.abs(got.dual_coef - want.dual_coef)) <= 1e-9
+        signs = np.sign(got.decision(probes))
+        assert np.all(signs != 0)
+        assert np.array_equal(signs, np.sign(want.decision(probes)))
 
 
 def _model_objective(model):
@@ -264,6 +308,32 @@ def test_blobs_train_accuracy_and_vote_oracle():
         tied = [c for c in tied if strength[c] == best]
         assert min(tied) == want
         assert sum(votes.values()) == len(model.pairs)
+
+
+def test_three_way_vote_ties():
+    # linear machines with one unit support vector each, so the decision
+    # value of pair j on a probe row is that row's column j
+    spec = KernelSpec("linear", 1.0)
+    eye = np.eye(3)
+    model = MulticlassSvmModel(
+        classes=(3, 5, 7),
+        pairs=((3, 5), (3, 7), (5, 7)),
+        machines=tuple(BinarySvm(eye[j:j + 1], np.array([1.0]), 0.0, spec)
+                       for j in range(3)),
+        kernel=spec,
+    )
+    # pairs (3,5), (3,7), (5,7); f > 0 votes for the second class
+    rows = np.array([
+        [-1.0, 2.0, -0.5],   # one vote each; 7 has the largest won |f|
+        [-2.0, 2.0, -2.0],   # one vote each, equal strength: lowest label
+        [-1.0, 2.0, -2.0],   # 5 and 7 tie on strength 2: the lower, 5
+        [-0.1, -0.1, 5.0],   # 3 has two votes, whatever 7's strength
+        [0.0, 0.0, 0.0],     # f = 0 votes for the first class: 3, 3, 5
+        [1.0, -1.0, 1.0],    # one vote each, equal strength: lowest label
+    ])
+    want = [7, 3, 5, 3, 3, 3]
+    assert list(predict_batch(model, rows)) == want
+    assert [predict(model, r) for r in rows] == want
 
 
 def test_two_class_predict_matches_sign():
