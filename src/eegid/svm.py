@@ -12,11 +12,17 @@ the second-order gain (m - score_j)^2 / (K_ii + K_jj - 2 K_ij). The pair
 step is clipped to the box so that bound alphas land exactly on 0 or C,
 and the score vector is updated with the two kernel rows. Training stops
 when m - M <= tol, M being the smallest score over I_low: every bias in
-[M, m] then meets each example's KKT condition within tol. Each step is
-a few O(n) numpy passes over the cached Gram matrix (one kernel row per
-chosen example when the pair has more than KERNEL_CACHE_LIMIT rows);
-both choices take the lowest index among ties, so training is
-deterministic for fixed inputs.
+[M, m] then meets each example's KKT condition within tol.
+
+The one-vs-one pair problems run in lockstep: each loop iteration makes
+one update in every pair still running, by numpy calls over (pairs, rows)
+arrays padded to the largest pair. Both choices take a pair's lowest
+index among ties, so each pair follows exactly its own deterministic
+path, and stops on its own test or budget of max_passes * n updates.
+Consecutive pairs share a loop while their padded Gram caches hold at
+most KERNEL_CACHE_LIMIT**2 entries; a pair above KERNEL_CACHE_LIMIT rows
+runs alone, computing two kernel rows per update. train_binary_smo is
+the same loop on one pair.
 
 Decision convention for a pair (a, b) with a < b: training labels are -1
 for class a and +1 for class b, so f(x) > 0 votes for b.
@@ -29,14 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EegIdError,
-    InvalidArgument,
-    NonConvergence,
-    SingleClassInput,
-    SubjectTooSmall,
-)
+from .errors import (DimensionMismatch, InvalidArgument, NonConvergence,
+                     SingleClassInput, SubjectTooSmall)
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
@@ -86,8 +86,7 @@ class KernelSpec:
         if self.kind in ("poly", "rbf"):
             parts.append(f"gamma={self.gamma:g}")
         if self.kind == "poly":
-            parts.append(f"degree={self.degree}")
-            parts.append(f"coef0={self.coef0:g}")
+            parts += [f"degree={self.degree}", f"coef0={self.coef0:g}"]
         return " ".join(parts)
 
 
@@ -197,100 +196,132 @@ def _bias(alpha: np.ndarray, score: np.ndarray, c: float, m: float,
     return m - 0.5 * gap
 
 
-def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
-                     max_passes: int = DEFAULT_MAX_PASSES,
-                     step_hook=None) -> BinarySvm:
-    """Solve the soft-margin dual by SMO with WSS2 pair selection.
-
-    Stops when m - M <= tol (see the module docstring), which leaves
-    every example within tol of its KKT condition, or raises
-    NonConvergence after max_passes * n pair updates for n rows (one
-    "sweep" is n updates). `step_hook(alpha, b)`, if given, is called
-    once after every pair update with the middle of the current bias
-    interval (used by invariant tests and the benchmark's step count).
-    """
+def _solver_input(X, labels, tol: float, max_passes: int) -> np.ndarray:
+    """X as a float matrix, once the arguments every fit shares are valid."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
+    if X.shape[0] != len(labels):
         raise InvalidArgument("one label per row")
     if not np.isfinite(X).all():
         raise InvalidArgument("training rows must be finite")
+    if tol <= 0 or max_passes < 1:
+        raise InvalidArgument("tol must be > 0 and max_passes >= 1")
+    return X
+
+
+def _cache_groups(sizes) -> list[list[int]]:
+    """Runs of consecutive pairs whose Gram caches, padded to the run's
+    largest pair, hold at most KERNEL_CACHE_LIMIT**2 entries; a pair
+    above KERNEL_CACHE_LIMIT rows runs alone, uncached."""
+    groups: list[list[int]] = []
+    for p, n in enumerate(sizes):
+        width = max([n] + [sizes[q] for q in groups[-1]]) if groups else n
+        if groups and (len(groups[-1]) + 1) * width**2 <= KERNEL_CACHE_LIMIT**2:
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    return groups
+
+
+def _lockstep(y, diag, rows, c, tol, max_passes, step_hook):
+    """WSS2 on P pair problems at once. As pair q stops, yields (q, v,
+    score, m, m - M, converged), v = y * alpha and score cut to its n
+    rows. y (P, N) holds each pair's labels and diag its kernel diagonal,
+    both zero after n; rows((p, t)) returns K_p[t_p], zero in the padding.
+    """
+    n = np.count_nonzero(y, axis=1)
+    # alpha_t may move along y_t (t in I_up) while v_t < hi_t and against
+    # y_t (t in I_low) while v_t > lo_t; padding has v = hi = lo = 0
+    hi, lo = np.where(y > 0, c, 0.0), np.where(y < 0, -c, 0.0)
+    pid, v, s, budget = np.arange(len(y)), np.zeros_like(y), y.copy(), max_passes * n
+    ar, no, tau, steps = np.arange(len(y)), np.float64(-np.inf), np.float64(_TAU), 0
+    while True:
+        s_up = np.where(v < hi, s, no)
+        i = s_up.argmax(axis=1)
+        m = s_up[ar, i]
+        gain = np.where(v > lo, m[:, None] - s, no)
+        gap = gain[ar, gain.argmax(axis=1)]  # m - M
+        if steps and step_hook is not None:
+            for q, p in enumerate(pid):
+                step_hook(np.abs(v[q, :n[p]]), float(m[q] - 0.5 * gap[q]))
+        done = gap <= tol
+        stop = done | (budget == steps)
+        if stop.any():
+            for q, p in zip(np.flatnonzero(stop), pid[stop]):
+                yield p, v[q, :n[p]].copy(), s[q, :n[p]].copy(), m[q], gap[q], done[q]
+            keep = ~stop
+            if not keep.any():
+                return
+            pid, v, s, hi, lo, diag, budget = (  # the pairs still running
+                w[keep] for w in (pid, v, s, hi, lo, diag, budget))
+            ar, i, m, gain = ar[:pid.size], i[keep], m[keep], gain[keep]
+        row_i = rows((pid, i))
+        curv = (diag[ar, i][:, None] + diag) - 2.0 * row_i
+        curv = np.where(curv > 0.0, curv, tau)
+        gain = np.maximum(gain, 0.0)
+        j = (gain * gain / curv).argmax(axis=1)
+        row_j = rows((pid, j))
+        # alpha_i += y_i t and alpha_j -= y_j t keep y'alpha; t is the
+        # unconstrained optimum gain/curv clipped to the box, and a
+        # variable that reaches its bound is set to exactly 0 or C
+        vi, vj, hi_i, lo_j = v[ar, i], v[ar, j], hi[ar, i], lo[ar, j]
+        room_i, room_j = hi_i - vi, vj - lo_j
+        t = np.minimum(np.minimum(gain[ar, j] / curv[ar, j], room_i), room_j)
+        v[ar, i] = new_i = np.where(t == room_i, hi_i, vi + t)
+        v[ar, j] = new_j = np.where(t == room_j, lo_j, vj - t)
+        s -= (new_i - vi)[:, None] * row_i + (new_j - vj)[:, None] * row_j
+        steps += 1
+
+
+def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
+    """Yield the BinarySvm of each pair problem (rows of X, -1/+1 labels,
+    error prefix) in order, each _cache_groups group solved in _lockstep;
+    raise NonConvergence for the first pair that exhausts its budget."""
+    for group in _cache_groups([len(y) for _, y, _ in problems]):
+        sub = [problems[p] for p in group]
+        N = max(len(y) for _, y, _ in sub)
+        Y = np.array([np.pad(y, (0, N - len(y))) for _, y, _ in sub])
+        if N <= KERNEL_CACHE_LIMIT:
+            K = np.zeros((len(sub), N, N))
+            for q, (r, y, _) in enumerate(sub):
+                x = X[r]  # one array, so numpy forms A @ A.T symmetric (syrk)
+                K[q, :len(y), :len(y)] = gram(k, x, x)
+            diag, rows = np.diagonal(K, axis1=1, axis2=2).copy(), K.__getitem__
+        else:  # a lone pair: two kernel rows per update
+            x = X[sub[0][0]]
+            diag = _gram_diag(k, x)[None, :]
+
+            def rows(idx):
+                return gram(k, x[idx[1]], x)
+        found = {q: r for q, *r in _lockstep(Y, diag, rows, k.c, tol,
+                                                max_passes, step_hook)}
+        for q, (r, y, prefix) in enumerate(sub):
+            v, s, m, gap, converged = found[q]
+            b = _bias(np.abs(v), s, k.c, float(m), float(gap))
+            if not converged:
+                worst = _kkt_violation(np.abs(v), y * (y - s + b), k.c)
+                raise NonConvergence(
+                    f"{prefix}SMO did not converge in {max_passes} sweeps of "
+                    f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
+                    f"KKT violation {worst:.3e})", kkt_violation=worst)
+            yield BinarySvm(X[r][v != 0], v[v != 0], b, k)
+
+
+def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
+                     max_passes: int = DEFAULT_MAX_PASSES,
+                     step_hook=None) -> BinarySvm:
+    """Solve the soft-margin dual by SMO with WSS2 pair selection (module
+    docstring): stop at m - M <= tol, or raise NonConvergence after
+    max_passes * n pair updates for n rows (one "sweep" is n updates).
+    `step_hook(alpha, b)`, if given, is called after every pair update
+    with the middle of the current bias interval."""
+    y = np.asarray(y, dtype=float)
+    X = _solver_input(X, y, tol, max_passes)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidArgument("labels must be -1/+1")
     if np.unique(y).size < 2:
         raise SingleClassInput("training data contains a single class")
-    if tol <= 0 or max_passes < 1:
-        raise InvalidArgument("tol must be > 0 and max_passes >= 1")
-
-    n, c = X.shape[0], k.c
-    if n <= KERNEL_CACHE_LIMIT:
-        cache = gram(k, X, X)
-        diag = np.diag(cache).copy()
-        krow = cache.__getitem__
-    else:
-        diag = _gram_diag(k, X)
-
-        def krow(t: int) -> np.ndarray:
-            return gram(k, X[t][None, :], X)[0]
-
-    pos = y > 0
-    alpha = np.zeros(n)
-    # score = -y * G for the gradient G = Q alpha - 1 of the pair problem
-    # (Q_ij = y_i y_j K_ij): y_t minus f(x_t) without the bias, i.e. the
-    # bias that would put example t exactly on its margin
-    score = y.copy()
-    up = pos.copy()  # alpha_t may move along y_t: score_t bounds b from below
-    low = ~pos  # alpha_t may move against y_t: score_t bounds b from above
-    steps, budget = 0, max_passes * n
-    while True:
-        s_up = np.where(up, score, -np.inf)
-        i = int(s_up.argmax())
-        m = float(s_up[i])
-        gain = np.where(low, m - score, -np.inf)
-        gap = float(gain.max())  # m - M
-        if steps and step_hook is not None:
-            step_hook(alpha, m - 0.5 * gap)
-        if gap <= tol:
-            break
-        if steps == budget:
-            b = _bias(alpha, score, c, m, gap)
-            worst = _kkt_violation(alpha, y * (y - score + b), c)
-            raise NonConvergence(
-                f"SMO did not converge in {max_passes} sweeps of {n} pair "
-                f"updates (m - M = {gap:.3e} > tol {tol:g}, KKT violation "
-                f"{worst:.3e})",
-                kkt_violation=worst,
-            )
-        row_i = krow(i)
-        curv = (diag[i] + diag) - 2.0 * row_i
-        curv = np.where(curv > 0.0, curv, _TAU)
-        gain = np.maximum(gain, 0.0)
-        j = int((gain * gain / curv).argmax())
-        row_j = krow(j)
-        # alpha_i += y_i t and alpha_j -= y_j t keep y'alpha; t is the
-        # unconstrained optimum gain/curv clipped to the box, and a variable
-        # that reaches its bound is set to exactly 0 or C
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(gain[j] / curv[j], room_i, room_j)
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
-        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
-        score -= (y[i] * (alpha[i] - old_i)) * row_i \
-            + (y[j] * (alpha[j] - old_j)) * row_j
-        for r in (i, j):
-            below_c, above_0 = alpha[r] < c, alpha[r] > 0.0
-            up[r] = below_c if pos[r] else above_0
-            low[r] = above_0 if pos[r] else below_c
-        steps += 1
-
-    keep = alpha > 0
-    return BinarySvm(
-        support_vectors=X[keep].copy(),
-        dual_coef=(alpha * y)[keep],
-        bias=_bias(alpha, score, c, m, gap),
-        kernel=k,
-    )
+    return next(_train_pairs(X, [(slice(None), y, "")], k, tol, max_passes,
+                             step_hook))
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +352,25 @@ class MulticlassSvmModel:
 
 
 def train_multiclass(X, labels, k: KernelSpec, tol: float = DEFAULT_TOL,
-                     max_passes: int = DEFAULT_MAX_PASSES) -> MulticlassSvmModel:
-    """Train a one-vs-one ensemble: a binary machine per class pair."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+                     max_passes: int = DEFAULT_MAX_PASSES,
+                     step_hook=None) -> MulticlassSvmModel:
+    """Train a one-vs-one ensemble, a binary machine per class pair, all
+    pairs in one lockstep SMO loop. `step_hook(alpha, b)` fires once per
+    pair update, with that pair's alpha and bias as in train_binary_smo;
+    NonConvergence names the first pair that exhausts its budget.
+    """
     labels = np.asarray(labels, dtype=int)
-    if X.shape[0] != labels.shape[0]:
-        raise InvalidArgument("one label per row")
+    X = _solver_input(X, labels, tol, max_passes)
     classes = tuple(int(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise SingleClassInput(f"need >= 2 classes, got {classes}")
-    pairs = []
-    machines = []
-    for ia, a in enumerate(classes):
-        for b in classes[ia + 1:]:
-            mask = (labels == a) | (labels == b)
-            y = np.where(labels[mask] == b, 1.0, -1.0)
-            try:
-                machines.append(train_binary_smo(X[mask], y, k, tol, max_passes))
-            except NonConvergence as e:
-                raise NonConvergence(f"pair ({a},{b}): {e}",
-                                     kkt_violation=e.kkt_violation) from e
-            except EegIdError as e:
-                raise type(e)(f"pair ({a},{b}): {e}") from e
-            pairs.append((a, b))
-    return MulticlassSvmModel(
-        classes=classes,
-        pairs=tuple(pairs),
-        machines=tuple(machines),
-        kernel=k,
-    )
+    pairs = [(a, b) for ia, a in enumerate(classes) for b in classes[ia + 1:]]
+    rows = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
+    problems = [(r, np.where(labels[r] == b, 1.0, -1.0), f"pair ({a},{b}): ")
+                for r, (a, b) in zip(rows, pairs)]
+    machines = tuple(_train_pairs(X, problems, k, tol, max_passes, step_hook))
+    return MulticlassSvmModel(classes=classes, pairs=tuple(pairs),
+                              machines=machines, kernel=k)
 
 
 def decision_values(m: MulticlassSvmModel, X) -> np.ndarray:
@@ -362,29 +383,10 @@ def decision_values(m: MulticlassSvmModel, X) -> np.ndarray:
     single = X.ndim == 1
     rows = np.atleast_2d(X)
     if rows.shape[1] != m.n_features:
-        raise DimensionMismatch(
-            f"got {rows.shape[1]} features, model expects {m.n_features}"
-        )
+        raise DimensionMismatch(f"got {rows.shape[1]} features, model "
+                                f"expects {m.n_features}")
     values = np.column_stack([svm.decision(rows) for svm in m.machines])
     return values[0] if single else values
-
-
-def _tally(m: MulticlassSvmModel, decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class votes and won-pair |decision| sums for decision rows."""
-    n_rows = decisions.shape[0]
-    n_cls = len(m.classes)
-    index = {c: i for i, c in enumerate(m.classes)}
-    votes = np.zeros((n_rows, n_cls), dtype=int)
-    strength = np.zeros((n_rows, n_cls))
-    for j, (a, b) in enumerate(m.pairs):
-        f = decisions[:, j]
-        wins_b = f > 0
-        ia, ib = index[a], index[b]
-        votes[wins_b, ib] += 1
-        votes[~wins_b, ia] += 1
-        strength[wins_b, ib] += np.abs(f[wins_b])
-        strength[~wins_b, ia] += np.abs(f[~wins_b])
-    return votes, strength
 
 
 def predict(m: MulticlassSvmModel, x) -> int:
@@ -395,8 +397,14 @@ def predict(m: MulticlassSvmModel, x) -> int:
 
 def predict_batch(m: MulticlassSvmModel, X) -> np.ndarray:
     """Vectorized predict over rows."""
-    decisions = np.atleast_2d(decision_values(m, X))
-    votes, strength = _tally(m, decisions)
+    f = np.atleast_2d(decision_values(m, X))
+    # the class index each pair's machine votes for; np.add.at adds a
+    # class's won-pair |f| in pair order
+    a, b = (np.array(m.pairs)[:, :, None] == np.array(m.classes)).argmax(axis=2).T
+    won = (np.arange(len(f))[:, None], np.where(f > 0, b, a))
+    votes, strength = np.zeros((2, len(f), len(m.classes)))
+    np.add.at(votes, won, 1.0)
+    np.add.at(strength, won, np.abs(f))
     # strength only among the classes with most votes; argmax of the
     # boolean "best" mask takes the lowest such index, i.e. lowest label
     strength = np.where(votes == votes.max(axis=1, keepdims=True), strength, -np.inf)
@@ -475,18 +483,13 @@ def split_rows(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def default_grids() -> dict[str, list[KernelSpec]]:
     """Parameter ladders covering the usual operating points per kernel."""
-    linear = [KernelSpec("linear", c) for c in (0.1, 1.0, 10.0, 100.0)]
-    poly = [
-        KernelSpec("poly", 1.0, gamma=g, degree=d)
-        for d in (2, 3, 4)
-        for g in (1.0, 0.1, 0.01)
-    ]
-    rbf = [
-        KernelSpec("rbf", c, gamma=g)
-        for c in (1.0, 10.0, 100.0)
-        for g in (0.1, 0.01, 0.001)
-    ]
-    return {"linear": linear, "poly": poly, "rbf": rbf}
+    return {
+        "linear": [KernelSpec("linear", c) for c in (0.1, 1.0, 10.0, 100.0)],
+        "poly": [KernelSpec("poly", 1.0, gamma=g, degree=d)
+                 for d in (2, 3, 4) for g in (1.0, 0.1, 0.01)],
+        "rbf": [KernelSpec("rbf", c, gamma=g)
+                for c in (1.0, 10.0, 100.0) for g in (0.1, 0.01, 0.001)],
+    }
 
 
 def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
@@ -494,11 +497,12 @@ def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
                 max_passes: int = DEFAULT_MAX_PASSES) -> list[GridCell]:
     """Evaluate every combination under the split protocol.
 
-    Returns cells ranked by accuracy (failed cells last); training
-    failures are recorded in the cell, never raised.
+    Returns cells ranked by accuracy (failed cells last). A cell whose
+    training runs out of budget records the NonConvergence message;
+    invalid tol, max_passes or rows raise InvalidArgument before any fit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=int)
+    X = _solver_input(X, labels, tol, max_passes)
     if not grids or not any(grids.values()):
         raise InvalidArgument("grid is empty")
     train, test = split_rows(labels, split)
@@ -514,13 +518,10 @@ def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
                                          tol, max_passes)
                 acc = float(np.mean(predict_batch(model, X[test]) == labels[test]))
                 cells.append(GridCell(spec=spec, accuracy=acc))
-            except EegIdError as e:
+            except NonConvergence as e:
                 cells.append(GridCell(spec=spec, accuracy=None, error=str(e)))
-    cells.sort(key=lambda cell: (
-        -(cell.accuracy if cell.accuracy is not None else -1.0),
-        cell.spec.kind,
-        cell.spec.describe(),
-    ))
+    cells.sort(key=lambda cell: (-(-1.0 if cell.accuracy is None else cell.accuracy),
+                                 cell.spec.kind, cell.spec.describe()))
     return cells
 
 
@@ -528,9 +529,8 @@ def best_per_kind(cells: list[GridCell]) -> dict[str, GridCell]:
     """Highest-accuracy successful cell for each kernel kind present."""
     best: dict[str, GridCell] = {}
     for cell in cells:
-        if cell.accuracy is None:
-            continue
         kind = cell.spec.kind
-        if kind not in best or cell.accuracy > best[kind].accuracy:
+        if cell.accuracy is not None and (
+                kind not in best or cell.accuracy > best[kind].accuracy):
             best[kind] = cell
     return best

@@ -1,13 +1,16 @@
-"""Independent reference solver for the soft-margin SVM dual.
+"""Independent reference solvers for the soft-margin SVM dual.
 
-Accelerated projected gradient (FISTA with adaptive restart) on
+`solve_dual_reference`: accelerated projected gradient (FISTA with
+adaptive restart) on
 
     minimize  g(a) = 1/2 a' Q a - sum(a),   Q = (y y') * K
     subject   0 <= a <= C,  y' a = 0
 
 The projection onto the box-plus-hyperplane set is computed exactly from
-the sorted breakpoints of the piecewise-linear multiplier equation. This
-shares no code with the SMO implementation under test.
+the sorted breakpoints of the piecewise-linear multiplier equation.
+
+`scalar_wss2`: the SMO trajectory reference, one scalar pair update at a
+time. Both share no code with the SMO implementation under test.
 """
 
 import numpy as np
@@ -71,3 +74,48 @@ def reference_dual_objective(K: np.ndarray, y: np.ndarray,
     """W(alpha) = sum(alpha) - 1/2 (alpha*y)' K (alpha*y)."""
     ay = alpha * np.asarray(y, dtype=float)
     return float(alpha.sum() - 0.5 * ay @ K @ ay)
+
+
+def scalar_wss2(K: np.ndarray, y: np.ndarray, c: float, tol: float,
+                max_updates: int):
+    """One pair problem solved by WSS2 one scalar update at a time, the
+    per-pair loop that the solver under test ran before it batched its
+    pair problems: same selection rules, clipping and tie-breaking, so
+    its alphas and bias must match that solver bit for bit.
+
+    Returns (alpha, bias), or None when max_updates updates end with
+    m - M > tol. The bias is the mean score over alphas strictly inside
+    (0, C) by more than 1e-12 C, else the middle of [M, m].
+    """
+    y = np.asarray(y, dtype=float)
+    pos = y > 0
+    alpha, score, diag = np.zeros(y.size), y.copy(), np.diag(K).copy()
+    up, low = pos.copy(), ~pos
+    for steps in range(max_updates + 1):
+        s_up = np.where(up, score, -np.inf)
+        i = int(s_up.argmax())
+        m = float(s_up[i])
+        gain = np.where(low, m - score, -np.inf)
+        gap = float(gain.max())
+        if gap <= tol:
+            free = (alpha > 1e-12 * c) & (alpha < c - 1e-12 * c)
+            return alpha, (float(np.mean(score[free])) if free.any()
+                           else m - 0.5 * gap)
+        if steps == max_updates:
+            return None
+        curv = (diag[i] + diag) - 2.0 * K[i]
+        curv = np.where(curv > 0.0, curv, 1e-12)
+        gain = np.maximum(gain, 0.0)
+        j = int((gain * gain / curv).argmax())
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(gain[j] / curv[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
+        score -= (y[i] * (alpha[i] - old_i)) * K[i] \
+            + (y[j] * (alpha[j] - old_j)) * K[j]
+        for r in (i, j):
+            up[r] = alpha[r] < c if pos[r] else alpha[r] > 0.0
+            low[r] = alpha[r] > 0.0 if pos[r] else alpha[r] < c
+    return None

@@ -109,6 +109,16 @@ def test_grid_writes_results(world, tmp_path, capsys):
     assert "best linear:" in printed
 
 
+def test_grid_rejects_bad_solver_arguments(world, tmp_path, capsys):
+    _, _, feat, _ = world
+    out = tmp_path / "results.csv"
+    assert main(["grid", "--features", str(feat), "--kernels", "linear",
+                 "--out", str(out), "--max-passes", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "max_passes >= 1" in err and "pair" not in err
+    assert not out.exists()
+
+
 def test_grid_rejects_unknown_kernel(world, capsys):
     _, _, feat, _ = world
     assert main(["grid", "--features", str(feat),

@@ -30,7 +30,7 @@ from eegid.svm import (
     train_binary_smo,
     train_multiclass,
 )
-from qp_oracle import reference_dual_objective, solve_dual_reference
+from qp_oracle import reference_dual_objective, scalar_wss2, solve_dual_reference
 
 
 def _blobs(rng, centers, n_per, spread=0.5):
@@ -117,27 +117,66 @@ def test_kkt_conditions_at_convergence():
         assert max_kkt_violation(spec, X, y, alpha, model.bias) <= tol * 1.001
 
 
+HOOK_SPECS = (KernelSpec("rbf", 5.0, gamma=0.7), KernelSpec("linear", 5.0),
+              KernelSpec("poly", 5.0, gamma=0.5, degree=3))
+
+
+def _dual_monitor(spec, X, y):
+    """A step_hook that checks feasibility and a dual objective that never
+    falls, for the pair problem (X, y); also returns the objective values
+    seen, starting from 0 at alpha = 0."""
+    seen = [0.0]
+
+    def hook(alpha, b):
+        assert np.all(alpha >= -1e-9)
+        assert np.all(alpha <= spec.c + 1e-9)
+        assert abs(np.dot(alpha, y)) <= 1e-9
+        # no pair update may lower the dual objective
+        w = dual_objective(spec, X, y, alpha)
+        assert w >= seen[-1] - 1e-12 * abs(seen[-1]), (
+            spec.describe(), len(seen), w, seen[-1])
+        seen.append(w)
+
+    return hook, seen
+
+
 def test_dual_feasible_at_every_step():
     rng = np.random.default_rng(63)
     X, labels = _blobs(rng, [(-1.0, 0.0), (1.0, 0.0)], 30, spread=1.2)
     y = np.where(labels == 1, 1.0, -1.0)
-    c = 5.0
-    for spec in (KernelSpec("rbf", c, gamma=0.7), KernelSpec("linear", c),
-                 KernelSpec("poly", c, gamma=0.5, degree=3)):
-        seen = [0.0]  # the dual objective at alpha = 0
-
-        def hook(alpha, b):
-            assert np.all(alpha >= -1e-9)
-            assert np.all(alpha <= c + 1e-9)
-            assert abs(np.dot(alpha, y)) <= 1e-9
-            # no pair update may lower the dual objective
-            w = dual_objective(spec, X, y, alpha)
-            assert w >= seen[-1] - 1e-12 * abs(seen[-1]), (
-                spec.describe(), len(seen), w, seen[-1])
-            seen.append(w)
-
+    for spec in HOOK_SPECS:
+        hook, seen = _dual_monitor(spec, X, y)
         train_binary_smo(X, y, spec, tol=1e-3, step_hook=hook)
         assert len(seen) > 1, spec.describe()
+
+
+def test_multiclass_step_hook_fires_per_pair_update():
+    rng = np.random.default_rng(63)
+    # classes of 10, 13 and 17 rows make pairs of 23, 27 and 30 rows, so
+    # the length of the alpha a hook call receives names its pair
+    sizes = (10, 13, 17)
+    X = np.vstack([rng.standard_normal((n, 2)) * 1.2 + center
+                   for n, center in zip(sizes, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])])
+    labels = np.repeat([0, 1, 2], sizes)
+    for spec in HOOK_SPECS:
+        monitors, solo = {}, {}
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == b, 1.0, -1.0)
+            monitors[y.size] = _dual_monitor(spec, X[mask], y)
+            solo[y.size] = []
+            train_binary_smo(X[mask], y, spec, tol=1e-3,
+                             step_hook=lambda alpha, b, n=y.size: solo[n].append(b))
+        biases = {n: [] for n in solo}
+
+        def hook(alpha, b):
+            monitors[alpha.size][0](alpha, b)
+            biases[alpha.size].append(b)
+
+        train_multiclass(X, labels, spec, tol=1e-3, step_hook=hook)
+        # one call per pair update, with the bias the pair alone reports
+        assert biases == solo, spec.describe()
+        assert all(len(seen) > 1 for _, seen in monitors.values())
 
 
 def test_uncached_rows_match_cached_gram(monkeypatch):
@@ -175,6 +214,63 @@ def test_uncached_rows_match_cached_gram(monkeypatch):
         signs = np.sign(got.decision(probes))
         assert np.all(signs != 0)
         assert np.array_equal(signs, np.sign(want.decision(probes)))
+
+
+LOCKSTEP_SPECS = (KernelSpec("linear", 1.0),
+                  KernelSpec("poly", 1.0, gamma=0.5, degree=3),
+                  KernelSpec("rbf", 10.0, gamma=0.5))
+
+
+def test_binary_smo_follows_scalar_reference():
+    rng = np.random.default_rng(79)
+    X, labels = _blobs(rng, [(-1.0, 0.3), (1.0, -0.3)], 25, spread=1.1)
+    y = np.where(labels == 1, 1.0, -1.0)
+    for spec in LOCKSTEP_SPECS + (KernelSpec("rbf", 100.0, gamma=2.0),):
+        got = train_binary_smo(X, y, spec, tol=1e-3)
+        alpha, bias = scalar_wss2(gram(spec, X, X), y, spec.c, 1e-3, 1000 * y.size)
+        keep = alpha > 0
+        assert np.array_equal(got.support_vectors, X[keep]), spec.describe()
+        assert np.array_equal(got.dual_coef, (alpha * y)[keep]), spec.describe()
+        assert got.bias == bias, spec.describe()
+
+
+@pytest.mark.parametrize("limit", [None, 40, 16])
+def test_lockstep_machines_equal_solo(monkeypatch, limit):
+    rng = np.random.default_rng(78)
+    sizes = (6, 11, 8, 14, 9)  # unequal, so shorter pairs are padded
+    X = np.vstack([rng.standard_normal((n, 3)) * 1.2 + rng.uniform(-2.0, 2.0, 3)
+                   for n in sizes])
+    labels = np.repeat(np.arange(5), sizes)
+    pair_rows = [sizes[a] + sizes[b] for a in range(5) for b in range(a + 1, 5)]
+    if limit is not None:
+        # 40: runs of 2-4 cached pairs; 16: the pairs above 16 rows run
+        # alone and uncached between single cached ones
+        monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", limit)
+    assert (len(svm._cache_groups(pair_rows)) > 2) == (limit is not None)
+    for spec in LOCKSTEP_SPECS:
+        model = train_multiclass(X, labels, spec, max_passes=5000)
+        for (a, b), machine in zip(model.pairs, model.machines):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == b, 1.0, -1.0)
+            solo = train_binary_smo(X[mask], y, spec, max_passes=5000)
+            assert np.array_equal(machine.support_vectors, solo.support_vectors)
+            assert np.array_equal(machine.dual_coef, solo.dual_coef)
+            assert machine.bias == solo.bias, (spec.describe(), a, b)
+
+
+def test_cache_groups_hold_at_most_limit_squared(monkeypatch):
+    monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", 100)
+    sizes = [30, 40, 20, 60, 101, 50, 150, 10, 10, 10, 99, 10]
+    groups = svm._cache_groups(sizes)
+    assert sum(groups, []) == list(range(len(sizes)))  # consecutive, in order
+    for group in groups:
+        width = max(sizes[p] for p in group)
+        if width > 100:
+            assert len(group) == 1
+        else:
+            assert len(group) * width**2 <= 100**2
+    # a run takes the next pair while its padded caches stay under the cap
+    assert groups == [[0, 1, 2], [3], [4], [5], [6], [7, 8, 9], [10], [11]]
 
 
 def _model_objective(model):
@@ -255,13 +351,41 @@ def test_single_class_rejected():
                          KernelSpec("linear", 1.0))
 
 
+def test_multiclass_nonconvergence_names_first_failing_pair():
+    rng = np.random.default_rng(67)
+    # (0,1) is separable and converges; (0,2) and (1,2) overlap and both
+    # run out of budget, (1,2) first, as it has fewer rows
+    X = np.vstack([rng.standard_normal((20, 2)) * 0.3 + (-6.0, 0.0),
+                   rng.standard_normal((12, 2)) * 0.3 + (6.0, 0.0),
+                   rng.standard_normal((30, 2)) * 4.0])
+    labels = np.repeat([0, 1, 2], [20, 12, 30])
+    spec = KernelSpec("linear", 100.0)
+    solo = {}
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        mask = (labels == a) | (labels == b)
+        y = np.where(labels[mask] == b, 1.0, -1.0)
+        try:
+            train_binary_smo(X[mask], y, spec, tol=1e-6, max_passes=1)
+            solo[a, b] = None
+        except NonConvergence as e:
+            solo[a, b] = e
+    assert solo[0, 1] is None and solo[0, 2] and solo[1, 2]
+    with pytest.raises(NonConvergence) as ei:
+        train_multiclass(X, labels, spec, tol=1e-6, max_passes=1)
+    assert str(ei.value) == f"pair (0,2): {solo[0, 2]}"
+    assert ei.value.kkt_violation == solo[0, 2].kkt_violation
+
+
 def test_nonconvergence_is_reported():
     rng = np.random.default_rng(67)
     X, labels = _blobs(rng, [(-0.2, 0.0), (0.2, 0.0)], 50, spread=2.0)
     y = np.where(labels == 1, 1.0, -1.0)
+    steps = []
     with pytest.raises(NonConvergence) as ei:
         train_binary_smo(X, y, KernelSpec("rbf", 100.0, gamma=0.5),
-                         tol=1e-9, max_passes=2)
+                         tol=1e-9, max_passes=2,
+                         step_hook=lambda alpha, b: steps.append(b))
+    assert len(steps) == 2 * len(y)  # the whole budget, and not one more
     assert ei.value.kkt_violation is not None
     assert ei.value.kkt_violation > 0
 
@@ -432,6 +556,27 @@ def test_grid_records_failures_without_raising():
     assert len(cells) == 1
     assert cells[0].accuracy is None
     assert "converge" in cells[0].error
+
+
+def test_solver_arguments_rejected_before_any_kernel(monkeypatch):
+    X, y = _grid_data()
+    nan_X = X.copy()
+    nan_X[3, 1] = np.nan
+    spec = KernelSpec("linear", 1.0)
+
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(svm, "gram", no_gram)
+    for rows, kw, text in ((X, {"tol": 0.0}, "tol must be > 0"),
+                           (X, {"max_passes": 0}, "max_passes >= 1"),
+                           (nan_X, {}, "must be finite")):
+        with pytest.raises(InvalidArgument, match=text) as ei:
+            train_multiclass(rows, y, spec, **kw)
+        assert "pair" not in str(ei.value)
+        with pytest.raises(InvalidArgument, match=text) as ei:
+            grid_search(rows, y, {"linear": [spec]}, SplitSpec(0.8), **kw)
+        assert "pair" not in str(ei.value)
 
 
 def test_grid_kind_mismatch_rejected():
