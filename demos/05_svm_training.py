@@ -63,6 +63,11 @@ model = train_multiclass(F[train], labels[train], KernelSpec("rbf", 100.0, gamma
 acc = np.mean(predict_batch(model, F[test]) == labels[test])
 print(f"\nmulticlass: {len(model.classes)} classes, "
       f"{len(model.machines)} pairwise machines, test accuracy {acc:.3f}")
+# The machines share one support-vector matrix: a row that several pairs
+# use is stored once, with one coefficient per pair (0 where unused).
+stored = sum(m.support_vectors.shape[0] for m in model.machines)
+print(f"support vectors: {model.support_vectors.shape[0]} rows, each stored "
+      f"once ({stored} if every machine kept its own copy)")
 
 # --- a small hyperparameter grid ----------------------------------------
 grids = {

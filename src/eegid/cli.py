@@ -289,10 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EegIdError as e:
-        print(f"eegid {args.command}: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (EegIdError, OSError) as e:
         print(f"eegid {args.command}: {e}", file=sys.stderr)
         return 2
 

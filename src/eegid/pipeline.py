@@ -14,7 +14,9 @@ dataclass-fields codec (`flags_to_meta`/`flags_from_meta`).
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
-and reload bit-exactly.
+and reload bit-exactly. Format v2 holds the one-vs-one machines in one
+[machines] block (pair biases, shared support vectors, pair x vector
+coefficients); a v1 file, one [pair a b] section per machine, is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .signal_io import DEFAULT_FS, LabeledDataset, Recording
 from .svm import (
     DEFAULT_MAX_PASSES,
     DEFAULT_TOL,
-    BinarySvm,
     KernelSpec,
     MulticlassSvmModel,
     SplitSpec,
@@ -56,7 +57,7 @@ from .svm import (
     train_multiclass,
 )
 
-MODEL_FORMAT = "eegid-model v1"
+MODEL_FORMAT = "eegid-model v2"
 FEATURE_ORDER_VERSION = "1"
 
 
@@ -372,6 +373,11 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split()]) if text.strip() else np.array([])
 
 
+def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
+    """A `name rows cols` header, then one line per row."""
+    return [f"{name} {M.shape[0]} {M.shape[1]}"] + [_fmt_vector(row) for row in M]
+
+
 def _payload_lines(p: TrainedPipeline) -> list[str]:
     lines = ["[meta]"]
     lines.append(f"feature_version {p.feature_version}")
@@ -385,20 +391,14 @@ def _payload_lines(p: TrainedPipeline) -> list[str]:
     lines.append(f"target_ratio {repr(p.pca.target_ratio)}")
     lines.append(f"explained_variance {_fmt_vector(p.pca.explained_variance)}")
     lines.append(f"explained_variance_ratio {_fmt_vector(p.pca.explained_variance_ratio)}")
-    lines.append(f"components {p.pca.n_components} {p.pca.n_features}")
-    for row in p.pca.components:
-        lines.append(_fmt_vector(row))
+    lines += _matrix_lines("components", p.pca.components)
     lines.append("[svm]")
     lines += [f"{key} {value}" for key, value in _fields_to_meta(p.svm.kernel).items()]
     lines.append(f"classes {' '.join(str(c) for c in p.svm.classes)}")
-    for (a, b), machine in zip(p.svm.pairs, p.svm.machines):
-        lines.append(f"[pair {a} {b}]")
-        lines.append(f"bias {repr(machine.bias)}")
-        lines.append(f"dual {_fmt_vector(machine.dual_coef)}")
-        sv = machine.support_vectors
-        lines.append(f"vectors {sv.shape[0]} {sv.shape[1]}")
-        for row in sv:
-            lines.append(_fmt_vector(row))
+    lines.append("[machines]")
+    lines.append(f"bias {_fmt_vector(p.svm.bias)}")
+    lines += _matrix_lines("vectors", p.svm.support_vectors)
+    lines += _matrix_lines("dual_coef", p.svm.dual_coef)
     lines.append("[end]")
     return lines
 
@@ -442,6 +442,14 @@ class _Reader:
             raise CorruptModel(f"expected {prefix!r}, found {line!r}")
         return line[len(prefix):].strip()
 
+    def matrix(self, name: str) -> np.ndarray:
+        """A _matrix_lines block, checked against its header's shape."""
+        rows, cols = (int(tok) for tok in self.expect(name).split())
+        M = np.array([_parse_vector(self.next()) for _ in range(rows)])
+        if M.shape != (rows, cols):
+            raise CorruptModel(f"{name} block is not {rows} x {cols}")
+        return M
+
 
 def load_model(path) -> TrainedPipeline:
     """Read a model container, verifying version tag and checksum."""
@@ -481,11 +489,7 @@ def load_model(path) -> TrainedPipeline:
         target = float(r.expect("target_ratio"))
         ev = _parse_vector(r.expect("explained_variance"))
         ratio = _parse_vector(r.expect("explained_variance_ratio"))
-        m, d = (int(tok) for tok in r.expect("components").split())
-        components = np.array([_parse_vector(r.next()) for _ in range(m)])
-        if components.shape != (m, d):
-            raise CorruptModel("component block has wrong shape")
-        pca = PcaModel(components=components, explained_variance=ev,
+        pca = PcaModel(components=r.matrix("components"), explained_variance=ev,
                        explained_variance_ratio=ratio, target_ratio=target)
         r.expect("[svm]")
         svm_meta = r.section()
@@ -493,23 +497,12 @@ def load_model(path) -> TrainedPipeline:
         if "classes" not in svm_meta:
             raise CorruptModel("[svm] section has no classes line")
         classes = tuple(int(tok) for tok in svm_meta["classes"].split())
-        pairs = []
-        machines = []
-        for ia, a in enumerate(classes):
-            for b in classes[ia + 1:]:
-                r.expect(f"[pair {a} {b}]")
-                bias = float(r.expect("bias"))
-                dual = _parse_vector(r.expect("dual"))
-                ns, nd = (int(tok) for tok in r.expect("vectors").split())
-                sv = np.array([_parse_vector(r.next()) for _ in range(ns)])
-                if sv.shape != (ns, nd):
-                    raise CorruptModel("support vector block has wrong shape")
-                pairs.append((a, b))
-                machines.append(BinarySvm(support_vectors=sv, dual_coef=dual,
-                                          bias=bias, kernel=kernel))
+        r.expect("[machines]")
+        svm_model = MulticlassSvmModel(  # keywords in file order
+            classes=classes, bias=_parse_vector(r.expect("bias")),
+            support_vectors=r.matrix("vectors"),
+            dual_coef=r.matrix("dual_coef"), kernel=kernel)
         r.expect("[end]")
-        svm_model = MulticlassSvmModel(classes=classes, pairs=tuple(pairs),
-                                       machines=tuple(machines), kernel=kernel)
         return TrainedPipeline(standardizer=standardizer, pca=pca,
                                svm=svm_model, flags=flags,
                                feature_version=feature_version)

@@ -25,7 +25,8 @@ runs alone, computing two kernel rows per update. train_binary_smo is
 the same loop on one pair.
 
 Decision convention for a pair (a, b) with a < b: training labels are -1
-for class a and +1 for class b, so f(x) > 0 votes for b.
+for class a and +1 for class b, so f(x) > 0 votes for b. As in LIBSVM, a
+multiclass model stores each support vector once for all of its pairs.
 """
 
 from __future__ import annotations
@@ -164,10 +165,6 @@ class BinarySvm:
         if np.any(np.abs(dc) > self.kernel.c * (1 + 1e-9)) or np.any(dc == 0):
             raise InvalidArgument("dual coefficients must be nonzero with |.| <= C")
 
-    @property
-    def n_features(self) -> int:
-        return self.support_vectors.shape[1]
-
     def decision(self, X) -> np.ndarray:
         """f(x) for one vector (scalar array) or a matrix of rows."""
         X = np.asarray(X, dtype=float)
@@ -273,7 +270,7 @@ def _lockstep(y, diag, rows, c, tol, max_passes, step_hook):
 
 
 def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
-    """Yield the BinarySvm of each pair problem (rows of X, -1/+1 labels,
+    """Yield (y * alpha, bias) of each pair problem (rows of X, -1/+1 labels,
     error prefix) in order, each _cache_groups group solved in _lockstep;
     raise NonConvergence for the first pair that exhausts its budget."""
     for group in _cache_groups([len(y) for _, y, _ in problems]):
@@ -303,7 +300,7 @@ def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
                     f"{prefix}SMO did not converge in {max_passes} sweeps of "
                     f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
                     f"KKT violation {worst:.3e})", kkt_violation=worst)
-            yield BinarySvm(X[r][v != 0], v[v != 0], b, k)
+            yield v, b
 
 
 def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
@@ -320,35 +317,51 @@ def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
         raise InvalidArgument("labels must be -1/+1")
     if np.unique(y).size < 2:
         raise SingleClassInput("training data contains a single class")
-    return next(_train_pairs(X, [(slice(None), y, "")], k, tol, max_passes,
+    v, b = next(_train_pairs(X, [(slice(None), y, "")], k, tol, max_passes,
                              step_hook))
+    return BinarySvm(X[v != 0], v[v != 0], b, k)
 
 
 # ---------------------------------------------------------------------------
 # One-vs-one multiclass
 # ---------------------------------------------------------------------------
 
-TIE_BREAK_RULE = "won-pair decision-magnitude sum, then lowest label"
-
-
 @dataclass(frozen=True)
 class MulticlassSvmModel:
-    """One binary machine per unordered class pair, vote-based prediction."""
+    """One machine per class pair, pairs in lexicographic order, sharing one
+    support-vector matrix: f_p(x) = gram(x, support_vectors) @ dual_coef[p] + bias[p]."""
 
     classes: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    machines: tuple[BinarySvm, ...]
+    support_vectors: np.ndarray  # s x d, each row once, in training order
+    dual_coef: np.ndarray  # n_pairs x s, y * alpha; 0 off the pair's SVs
+    bias: np.ndarray  # n_pairs
     kernel: KernelSpec
-    tie_break: str = TIE_BREAK_RULE
 
     def __post_init__(self):
-        n = len(self.classes)
-        if len(self.pairs) != n * (n - 1) // 2 or len(self.machines) != len(self.pairs):
-            raise InvalidArgument("need one machine per unordered class pair")
+        for name in ("support_vectors", "dual_coef", "bias"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        sv, dc, n_pairs = self.support_vectors, self.dual_coef, len(self.pairs)
+        if sv.ndim != 2 or dc.shape != (n_pairs, len(sv)) or self.bias.shape != (n_pairs,):
+            raise InvalidArgument("need a dual coefficient per pair and support "
+                                  "vector, and a bias per pair")
+        if np.any(np.abs(dc) > self.kernel.c * (1 + 1e-9)):
+            raise InvalidArgument("dual coefficients must satisfy |.| <= C")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((a, b) for ia, a in enumerate(self.classes)
+                     for b in self.classes[ia + 1:])
+
+    @property
+    def machines(self) -> tuple[BinarySvm, ...]:
+        """Each pair's own machine, as train_binary_smo returns it."""
+        return tuple(BinarySvm(self.support_vectors[row != 0], row[row != 0],
+                               float(b), self.kernel)
+                     for row, b in zip(self.dual_coef, self.bias))
 
     @property
     def n_features(self) -> int:
-        return self.machines[0].n_features
+        return self.support_vectors.shape[1]
 
 
 def train_multiclass(X, labels, k: KernelSpec, tol: float = DEFAULT_TOL,
@@ -368,25 +381,21 @@ def train_multiclass(X, labels, k: KernelSpec, tol: float = DEFAULT_TOL,
     rows = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
     problems = [(r, np.where(labels[r] == b, 1.0, -1.0), f"pair ({a},{b}): ")
                 for r, (a, b) in zip(rows, pairs)]
-    machines = tuple(_train_pairs(X, problems, k, tol, max_passes, step_hook))
-    return MulticlassSvmModel(classes=classes, pairs=tuple(pairs),
-                              machines=machines, kernel=k)
+    coef, bias = np.zeros((len(pairs), len(X))), np.zeros(len(pairs))
+    for p, (v, b) in enumerate(_train_pairs(X, problems, k, tol, max_passes,
+                                            step_hook)):
+        coef[p, rows[p]], bias[p] = v, b
+    used = coef.any(axis=0)  # the training rows some pair keeps
+    return MulticlassSvmModel(classes=classes, support_vectors=X[used],
+                              dual_coef=coef[:, used], bias=bias, kernel=k)
 
 
 def decision_values(m: MulticlassSvmModel, X) -> np.ndarray:
-    """Raw per-pair decision values, pairs ordered lexicographically.
-
-    One vector gives shape (n_pairs,); a matrix of rows gives
-    (n_rows, n_pairs).
-    """
+    """Raw per-pair decision values, pairs in lexicographic order: shape
+    (n_pairs,) for one vector, (n_rows, n_pairs) for a matrix of rows."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    rows = np.atleast_2d(X)
-    if rows.shape[1] != m.n_features:
-        raise DimensionMismatch(f"got {rows.shape[1]} features, model "
-                                f"expects {m.n_features}")
-    values = np.column_stack([svm.decision(rows) for svm in m.machines])
-    return values[0] if single else values
+    values = gram(m.kernel, np.atleast_2d(X), m.support_vectors) @ m.dual_coef.T + m.bias
+    return values[0] if X.ndim == 1 else values
 
 
 def predict(m: MulticlassSvmModel, x) -> int:
@@ -398,9 +407,9 @@ def predict(m: MulticlassSvmModel, x) -> int:
 def predict_batch(m: MulticlassSvmModel, X) -> np.ndarray:
     """Vectorized predict over rows."""
     f = np.atleast_2d(decision_values(m, X))
-    # the class index each pair's machine votes for; np.add.at adds a
-    # class's won-pair |f| in pair order
-    a, b = (np.array(m.pairs)[:, :, None] == np.array(m.classes)).argmax(axis=2).T
+    # the class indices of each pair; np.add.at adds a class's won-pair |f|
+    # in pair order
+    a, b = np.triu_indices(len(m.classes), 1)
     won = (np.arange(len(f))[:, None], np.where(f > 0, b, a))
     votes, strength = np.zeros((2, len(f), len(m.classes)))
     np.add.at(votes, won, 1.0)

@@ -23,10 +23,17 @@ def checkout(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", ["enroll", "identify", "sweep"])
-def test_bench_workload_runs(checkout, workload):
+WORKLOADS = ("enroll", "identify", "sweep")
+
+
+# traced runs also wrap every public call in spans, read the model's
+# machines and inject step_hook, and check that the spans nest
+@pytest.mark.parametrize("workload, trace", [
+    *(pytest.param(w, "0", id=w) for w in WORKLOADS),
+    *(pytest.param(w, "1", id=f"{w}-traced") for w in WORKLOADS)])
+def test_bench_workload_runs(checkout, workload, trace):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--size", "tiny",
-         "--seconds", "0", "--trace", "0"],
+         "--seconds", "0", "--trace", trace],
         cwd=checkout, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

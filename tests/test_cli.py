@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eegid import signal_io
+from eegid import pipeline, signal_io
 from eegid.cli import main
 from eegid.features import load_feature_table, save_feature_table
 from eegid.pipeline import load_model
@@ -155,7 +155,7 @@ def test_identify_corrupt_model_exits_nonzero(world, tmp_path, capsys):
     _, ds_dir, _, model = world
     text = model.read_text()
     bad = tmp_path / "bad.txt"
-    bad.write_text(text.replace("eegid-model v1", "eegid-model v9"))
+    bad.write_text(text.replace(pipeline.MODEL_FORMAT, "eegid-model v9"))
     ds = signal_io.load_dataset(ds_dir)
     rec_csv = tmp_path / "rec.csv"
     signal_io.save_recording_csv(ds.entries[0][1], rec_csv)

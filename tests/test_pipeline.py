@@ -364,10 +364,10 @@ def test_load_model_without_window_lines_takes_defaults(tmp_path, small_world):
     assert np.array_equal(loaded.pca.components, model.pca.components)
 
 
-def _rewrite_payload(path, keep):
-    """Keep the payload lines for which keep(line) holds; re-sign the file."""
+def _rewrite_payload(path, edit):
+    """Replace the payload lines by edit(lines); re-sign the file."""
     head, _, payload = path.read_text().split("\n", 2)
-    payload = "".join(ln for ln in payload.splitlines(keepends=True) if keep(ln))
+    payload = "".join(edit(payload.splitlines(keepends=True)))
     checksum = hashlib.sha256(payload.encode()).hexdigest()
     path.write_text(f"{head}\nchecksum {checksum}\n{payload}")
 
@@ -378,7 +378,8 @@ def test_load_model_without_fs_line_is_250_hz(tmp_path, small_world):
     save_model(dataclasses.replace(
         model, flags=dataclasses.replace(model.flags, fs=500.0)), path)
     assert load_model(path).flags.fs == 500.0
-    _rewrite_payload(path, lambda ln: not ln.startswith("fs "))
+    _rewrite_payload(path, lambda lines: [ln for ln in lines
+                                          if not ln.startswith("fs ")])
     assert load_model(path).flags.fs == 250.0
 
 
@@ -386,7 +387,37 @@ def test_load_model_without_fs_line_is_250_hz(tmp_path, small_world):
 def test_load_model_missing_svm_line_is_corrupt(tmp_path, small_world, key):
     path = tmp_path / "model.txt"
     save_model(small_world[4], path)
-    _rewrite_payload(path, lambda ln: not ln.startswith(key + " "))
+    _rewrite_payload(path, lambda lines: [ln for ln in lines
+                                          if not ln.startswith(key + " ")])
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
+def _edit_machines(lines, change):
+    """Apply one change to the [machines] block of a model's payload lines."""
+    bias = next(i for i, ln in enumerate(lines) if ln.startswith("bias "))
+    dual = next(i for i, ln in enumerate(lines) if ln.startswith("dual_coef "))
+    n_pairs, s = (int(tok) for tok in lines[dual].split()[1:])
+    if change == "coefficient row missing":
+        del lines[dual + 1]
+    elif change == "coefficient row and its header count missing":
+        lines[dual] = f"dual_coef {n_pairs - 1} {s}\n"
+        del lines[dual + 1]
+    elif change == "one bias too few":
+        lines[bias] = lines[bias].rsplit(" ", 1)[0] + "\n"
+    else:  # a coefficient above C = 100
+        lines[dual + 1] = "200.0 " + lines[dual + 1].split(" ", 1)[1]
+    return lines
+
+
+@pytest.mark.parametrize("change", [
+    "coefficient row missing", "coefficient row and its header count missing",
+    "one bias too few", "coefficient above C"])
+def test_load_model_rejects_bad_machines_block(tmp_path, small_world, change):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    assert small_world[4].svm.kernel.c == 100.0
+    _rewrite_payload(path, lambda lines: _edit_machines(lines, change))
     with pytest.raises(CorruptModel):
         load_model(path)
 
@@ -417,14 +448,17 @@ def test_load_missing_file(tmp_path):
 
 
 def test_load_version_mismatch(tmp_path, small_world):
+    """v1 (one [pair a b] section per machine) included: it must be retrained."""
     model = small_world[4]
     path = tmp_path / "model.txt"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    lines[0] = "eegid-model v99"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(VersionMismatch):
-        load_model(path)
+    assert lines[0] == pipeline.MODEL_FORMAT == "eegid-model v2"
+    for head in ("eegid-model v99", "eegid-model v1"):
+        lines[0] = head
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(VersionMismatch, match=head):
+            load_model(path)
 
 
 def test_load_detects_corruption(tmp_path, small_world):
@@ -452,6 +486,6 @@ def test_load_detects_truncation(tmp_path, small_world):
 
 def test_load_missing_checksum_line(tmp_path):
     path = tmp_path / "model.txt"
-    path.write_text("eegid-model v1\n[meta]\n")
+    path.write_text(f"{pipeline.MODEL_FORMAT}\n[meta]\n")
     with pytest.raises(CorruptModel, match="checksum"):
         load_model(path)

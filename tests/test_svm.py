@@ -247,6 +247,7 @@ def test_lockstep_machines_equal_solo(monkeypatch, limit):
         # alone and uncached between single cached ones
         monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", limit)
     assert (len(svm._cache_groups(pair_rows)) > 2) == (limit is not None)
+    probes = rng.standard_normal((20, 3)) * 2.0
     for spec in LOCKSTEP_SPECS:
         model = train_multiclass(X, labels, spec, max_passes=5000)
         for (a, b), machine in zip(model.pairs, model.machines):
@@ -256,6 +257,24 @@ def test_lockstep_machines_equal_solo(monkeypatch, limit):
             assert np.array_equal(machine.support_vectors, solo.support_vectors)
             assert np.array_equal(machine.dual_coef, solo.dual_coef)
             assert machine.bias == solo.bias, (spec.describe(), a, b)
+        # the shared support vectors are distinct rows of X in training
+        # order, each used by some pair, and pair p's coefficients are 0
+        # off its own rows
+        hits = (model.support_vectors[:, None, :] == X[None, :, :]).all(axis=2)
+        assert np.all(hits.sum(axis=1) == 1)
+        assert np.all(np.diff(hits.argmax(axis=1)) > 0)
+        assert model.dual_coef.any(axis=0).all()
+        sv_labels = labels[hits.argmax(axis=1)]
+        for (a, b), coef in zip(model.pairs, model.dual_coef):
+            assert not coef[(sv_labels != a) & (sv_labels != b)].any()
+        for rows in (X, probes):
+            per_pair = np.column_stack([m.decision(rows) for m in model.machines])
+            assert np.allclose(decision_values(model, rows), per_pair,
+                               rtol=0.0, atol=1e-12)
+            with monkeypatch.context() as patch:  # vote on the per-pair values
+                patch.setattr(svm, "decision_values", lambda m, X: per_pair)
+                want = predict_batch(model, rows)
+            assert np.array_equal(predict_batch(model, rows), want)
 
 
 def test_cache_groups_hold_at_most_limit_squared(monkeypatch):
@@ -439,13 +458,8 @@ def test_three_way_vote_ties():
     # value of pair j on a probe row is that row's column j
     spec = KernelSpec("linear", 1.0)
     eye = np.eye(3)
-    model = MulticlassSvmModel(
-        classes=(3, 5, 7),
-        pairs=((3, 5), (3, 7), (5, 7)),
-        machines=tuple(BinarySvm(eye[j:j + 1], np.array([1.0]), 0.0, spec)
-                       for j in range(3)),
-        kernel=spec,
-    )
+    model = MulticlassSvmModel(classes=(3, 5, 7), support_vectors=eye,
+                               dual_coef=eye, bias=np.zeros(3), kernel=spec)
     # pairs (3,5), (3,7), (5,7); f > 0 votes for the second class
     rows = np.array([
         [-1.0, 2.0, -0.5],   # one vote each; 7 has the largest won |f|
