@@ -34,6 +34,7 @@ temporaries to a few MB however many windows there are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +43,13 @@ from .errors import (
     EmptyBand,
     EmptyInput,
     InvalidArgument,
+    IoFailure,
+    MalformedHeader,
+    MissingFile,
+    NonNumericSample,
     TooFewSamples,
 )
+from .signal_io import _read_body
 
 FEATURE_NAMES = (
     "rms", "std", "skew", "kurt", "hj_act",
@@ -414,78 +420,54 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
         )
     if not (X.shape[0] == labels.shape[0] == starts.shape[0]):
         raise InvalidArgument("X, labels, and starts must have matching rows")
+    if not np.isfinite(X).all():
+        raise InvalidArgument("feature matrix contains NaN/Inf")
     names = feature_column_names(X.shape[1] // N_FEATURES)
-    with open(path, "w") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("subject_id,start_index," + ",".join(names) + "\n")
-        for sid, start, row in zip(labels, starts, X):
-            values = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{sid},{start},{values}\n")
+    try:
+        with open(path, "w") as fh:
+            for key, value in (meta or {}).items():
+                fh.write(f"# {key}={value}\n")
+            fh.write("subject_id,start_index," + ",".join(names) + "\n")
+            for sid, start, row in zip(labels, starts, X):
+                values = ",".join(repr(float(v)) for v in row)
+                fh.write(f"{sid},{start},{values}\n")
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
 
 
 def load_feature_table(path):
     """Load a CSV written by save_feature_table.
 
-    Returns (X, labels, starts, meta). Raises MissingFile, MalformedHeader,
-    NonNumericSample, or RaggedRows on damaged input.
+    Returns (X, labels, starts, meta), meta from the ``# key=value`` lines.
+    The body follows the recording CSV rules (signal_io): finite cells
+    only, rows numbered from 0 after the header, blank lines refused.
+    subject_id and start_index must be integers below 2**53. Raises
+    MissingFile, MalformedHeader, NonNumericSample or RaggedRows.
     """
-    from pathlib import Path
-
-    from .errors import MalformedHeader, MissingFile, NonNumericSample, RaggedRows
-
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such feature table: {path}")
     meta: dict[str, str] = {}
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#"):
-        body = lines[pos][1:].strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-        pos += 1
-    if pos >= len(lines):
-        raise MalformedHeader("feature table has no header row")
-    header = lines[pos].split(",")
-    if header[:2] != ["subject_id", "start_index"]:
-        raise MalformedHeader(
-            "feature table must start with subject_id,start_index columns"
-        )
-    n_cols = len(header)
-    if (n_cols - 2) % N_FEATURES != 0 or n_cols <= 2:
-        raise MalformedHeader(f"unexpected feature column count {n_cols - 2}")
-    if header[2:] != feature_column_names((n_cols - 2) // N_FEATURES):
-        raise MalformedHeader("feature columns do not match the frozen order")
-    labels, starts, rows = [], [], []
-    for r, line in enumerate(lines[pos + 1:], start=1):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise RaggedRows(f"row {r} has {len(cells)} cells, expected {n_cols}")
-        try:
-            labels.append(int(cells[0]))
-            starts.append(int(cells[1]))
-        except ValueError:
-            raise NonNumericSample(r, 0, cells[0]) from None
-        try:
-            rows.append([float(tok) for tok in cells[2:]])
-        except ValueError:
-            bad = next(i for i, tok in enumerate(cells[2:])
-                       if not _is_float(tok))
-            raise NonNumericSample(r, bad + 2, cells[bad + 2]) from None
-    if not rows:
-        raise MalformedHeader("feature table has no data rows")
-    return (np.array(rows), np.array(labels, dtype=int),
-            np.array(starts, dtype=int), meta)
-
-
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+        line = fh.readline()
+        while line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+            line = fh.readline()
+        header = line.rstrip("\n").split(",")
+        n_ch = (len(header) - 2) // N_FEATURES
+        names = ["subject_id", "start_index", *feature_column_names(n_ch)]
+        if n_ch < 1 or header != names:
+            raise MalformedHeader(f"{path}: header must be subject_id,start_index "
+                                  "then the feature columns in the frozen order")
+        body = _read_body(path, fh, len(header))
+    if len(body) == 0:
+        raise MalformedHeader(f"{path}: feature table has no data rows")
+    ids = body[:, :2]
+    bad = np.flatnonzero((ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53))
+    if bad.size:
+        row, col = divmod(int(bad[0]), 2)
+        raise NonNumericSample(row, col, repr(float(ids[row, col])))
+    return (np.ascontiguousarray(body[:, 2:]), ids[:, 0].astype(int),
+            ids[:, 1].astype(int), meta)

@@ -40,6 +40,7 @@ from .errors import (
     IoFailure,
     MissingFile,
     NonConvergence,
+    NonFiniteInput,
     UnknownLabel,
     VersionMismatch,
 )
@@ -299,6 +300,9 @@ def evaluate_features(p: TrainedPipeline, X, y,
     y = np.asarray(y, dtype=int)
     if X.shape[0] == 0:
         raise EmptyDataset("no test rows")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise NonFiniteInput(f"[features] test row {bad[0]} contains NaN/Inf")
     classes = p.svm.classes
     unknown = sorted(set(int(v) for v in np.unique(y)) - set(classes))
     if unknown:

@@ -8,6 +8,12 @@ The CSV carries no sampling rate; that lives in the dataset sidecar
 ``meta.txt`` (``key=value`` lines: ``fs``, ``channels``, ``generator``,
 ``seed``) next to the ``subject_<k>/`` directories.
 
+Recording CSVs and feature tables (``features.py``) share one body parser
+and its rules: one cell per header column, each a finite number, and no
+blank lines (a blank line is a row of one empty cell). A bad cell raises
+``NonNumericSample(row, col)``, a bad row ``RaggedRows``; rows are numbered
+from 0 at the first line after the header.
+
 All values are treated as immutable after construction and are safe to
 share across threads.
 """
@@ -163,15 +169,11 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
     """Load a recording CSV written by save_recording_csv.
 
     The file stores no sampling rate; pass fs explicitly (the dataset
-    loader passes the value from meta.txt). Rows are read _BLOCK_ROWS at a
-    time and each block's cells are converted in one array call; only a
-    block that fails it is parsed cell by cell, to report the first bad
-    row and column.
+    loader passes the value from meta.txt).
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such recording file: {path}")
-    blocks = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         names = header.split(",") if header else []
@@ -180,13 +182,23 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
         channels = tuple(n[len(_HEADER_PREFIX):] for n in names)
         if any(not c for c in channels):
             raise MalformedHeader(f"{path}: empty channel name in header")
-        row = 0
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            blocks.append(_parse_block(path, lines, len(channels), row))
-            row += len(lines)
-    if not blocks:
+        data = _read_body(path, fh, len(channels))
+    if len(data) == 0:
         raise InvalidRecording(f"{path}: no data rows")
-    return Recording(channels=channels, fs=fs, data=np.concatenate(blocks).T)
+    return Recording(channels=channels, fs=fs, data=data.T)
+
+
+def _read_body(path, fh, n_cols: int) -> np.ndarray:
+    """The CSV body left in fh as a (rows, n_cols) array. Rows are read
+    _BLOCK_ROWS at a time and each block is converted in one array call;
+    only a block that fails it is parsed cell by cell, to raise for the
+    first bad row and column (row 0 is the first body line)."""
+    blocks = [np.empty((0, n_cols))]
+    row = 0
+    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+        blocks.append(_parse_block(path, lines, n_cols, row))
+        row += len(lines)
+    return np.concatenate(blocks)
 
 
 def _parse_block(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray:
@@ -301,12 +313,6 @@ def load_dataset(root) -> LabeledDataset:
             if not fname.endswith(".csv"):
                 continue
             rec = load_recording_csv(subdir / fname, fs=fs)
-            if rec.fs != fs:
-                raise InconsistentSamplingRate(f"{fname}: fs {rec.fs} != {fs}")
-            if len(rec.channels) != len(channels):
-                raise InconsistentChannels(
-                    f"{fname}: {len(rec.channels)} channels, meta says {len(channels)}"
-                )
             if rec.channels != channels:
                 raise InconsistentChannels(
                     f"{fname}: channel names {rec.channels} != meta {channels}"

@@ -186,6 +186,20 @@ def test_evaluate_rejects_features_of_other_sampling_rate(world, tmp_path, capsy
             in capsys.readouterr().err)
 
 
+def test_evaluate_rejects_table_with_nan_cell(world, tmp_path, capsys):
+    _, _, feat, model = world
+    lines = feat.read_text().splitlines(keepends=True)
+    head = sum(line.startswith("#") for line in lines) + 1
+    cells = lines[head + 2].split(",")
+    cells[4] = "nan"
+    lines[head + 2] = ",".join(cells)
+    damaged = tmp_path / "features_nan.csv"
+    damaged.write_text("".join(lines))
+    rc = main(["evaluate", "--features", str(damaged), "--model", str(model)])
+    assert rc == 2
+    assert "non-numeric sample at row 2, col 4: 'nan'" in capsys.readouterr().err
+
+
 def test_sampling_rate_travels_from_extract_to_identify(tmp_path, capsys):
     ds_dir = tmp_path / "ds"
     feat = tmp_path / "features.csv"

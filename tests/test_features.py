@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from eegid.dsp import Window
-from eegid.errors import EmptyBand, EmptyInput, InvalidArgument, TooFewSamples
+from eegid.errors import (
+    EmptyBand,
+    EmptyInput,
+    InvalidArgument,
+    IoFailure,
+    MalformedHeader,
+    NonNumericSample,
+    RaggedRows,
+    TooFewSamples,
+)
 from eegid.features import (
     _CHUNK,
     BAND_HI,
     BAND_LO,
     ENTROPY_BINS,
     FEATURE_NAMES,
+    N_FEATURES,
     FeatureVector,
     PsdEstimate,
     band_power,
@@ -22,8 +32,10 @@ from eegid.features import (
     feature_column_names,
     hjorth,
     kurtosis,
+    load_feature_table,
     periodogram,
     rms,
+    save_feature_table,
     shannon_entropy,
     skewness,
     spectral_entropy,
@@ -554,3 +566,97 @@ def test_batch_rejects_bad_window_sets():
     for wins in mixed:
         with pytest.raises(InvalidArgument):
             extract_feature_matrix(wins)
+
+
+# ---------------------------------------------------------------------------
+# Feature table CSV
+# ---------------------------------------------------------------------------
+
+_TABLE_HEAD = "# fs=250.0\nsubject_id,start_index," + ",".join(feature_column_names(1)) + "\n"
+
+
+def _table_row(sid="0", start="0", cell=None):
+    cells = [sid, start] + [repr(0.5 * j) for j in range(N_FEATURES)]
+    if cell is not None:
+        cells[cell[0]] = cell[1]
+    return ",".join(cells) + "\n"
+
+
+# (file text, error, 0-based (row, col) of the bad cell or row, or None)
+_BAD_TABLES = {
+    "ragged row": (_TABLE_HEAD + _table_row() + _table_row().rsplit(",", 1)[0] + "\n",
+                   RaggedRows, (1, None)),
+    "text cell": (_TABLE_HEAD + _table_row() * 2 + _table_row(cell=(5, "oops")),
+                  NonNumericSample, (2, 5)),
+    "nan cell": (_TABLE_HEAD + _table_row(cell=(3, "nan")) + _table_row(),
+                 NonNumericSample, (0, 3)),
+    "inf cell": (_TABLE_HEAD + _table_row() + _table_row(cell=(11, "inf")),
+                 NonNumericSample, (1, 11)),
+    "blank line": (_TABLE_HEAD + _table_row() + "\n" + _table_row(),
+                   RaggedRows, (1, None)),
+    "fractional label": (_TABLE_HEAD + _table_row() + _table_row(sid="1.5"),
+                         NonNumericSample, (1, 0)),
+    "fractional start": (_TABLE_HEAD + _table_row(start="2.5"),
+                         NonNumericSample, (0, 1)),
+    # 2**53 + 1 parses to the float 2**53: refused, not silently changed
+    "label beyond 2**53": (_TABLE_HEAD + _table_row(sid="9007199254740993"),
+                           NonNumericSample, (0, 0)),
+    "missing header": ("# fs=250.0\n", MalformedHeader, None),
+    "header without rows": (_TABLE_HEAD, MalformedHeader, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TABLES))
+def test_load_feature_table_rejects_damaged_files(tmp_path, case):
+    text, error, where = _BAD_TABLES[case]
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    with pytest.raises(error) as ei:
+        load_feature_table(path)
+    if error is NonNumericSample:
+        assert (ei.value.row, ei.value.col) == where
+    elif error is RaggedRows:
+        assert f"row {where[0]} has" in str(ei.value)
+        assert str(path) in str(ei.value)
+
+
+def test_load_feature_table_accepts_the_well_formed_table(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text(_TABLE_HEAD + _table_row() + _table_row(sid="3", start="100"))
+    X, labels, starts, meta = load_feature_table(path)
+    assert X.shape == (2, N_FEATURES)
+    assert labels.tolist() == [0, 3] and starts.tolist() == [0, 100]
+    assert meta == {"fs": "250.0"}
+
+
+def test_feature_table_round_trip_across_blocks_is_bit_exact(tmp_path):
+    # more rows than the CSV reader converts per block (1024)
+    rng = np.random.default_rng(46)
+    n = 1500
+    X = rng.standard_normal((n, 2 * N_FEATURES)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    X[0, 0], X[1, 1], X[2, 2] = -0.0, 5e-324, np.finfo(float).max
+    labels = rng.integers(0, 12, n)
+    starts = np.arange(n) * 100
+    meta = {"fs": "250.0", "win_s": "0.8", "asr": "1"}
+    path = tmp_path / "features.csv"
+    save_feature_table(path, X, labels, starts, meta=meta)
+    X2, labels2, starts2, meta2 = load_feature_table(path)
+    assert X2.dtype == X.dtype and np.array_equal(X2.view(np.uint64), X.view(np.uint64))
+    assert np.array_equal(labels2, labels) and np.array_equal(starts2, starts)
+    assert meta2 == meta
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_feature_table_refuses_non_finite_values(tmp_path, bad):
+    X = np.ones((2, N_FEATURES))
+    X[1, 4] = bad
+    path = tmp_path / "features.csv"
+    with pytest.raises(InvalidArgument, match="NaN/Inf"):
+        save_feature_table(path, X, [0, 1], [0, 100])
+    assert not path.exists()
+
+
+def test_save_feature_table_wraps_os_errors(tmp_path):
+    with pytest.raises(IoFailure, match="cannot write"):
+        save_feature_table(tmp_path / "missing" / "features.csv",
+                           np.ones((1, N_FEATURES)), [0], [0])

@@ -16,16 +16,19 @@ from eegid.errors import (
     InvalidArgument,
     MissingFile,
     NonConvergence,
+    NonFiniteInput,
     RecordingTooShort,
     SubjectTooSmall,
     TooShortForCalibration,
     UnknownLabel,
     VersionMismatch,
 )
+from eegid.features import extract_feature_matrix
 from eegid.pipeline import (
     PreprocessFlags,
     SplitSpec,
     evaluate,
+    evaluate_features,
     fit_pipeline,
     identify,
     load_model,
@@ -209,6 +212,15 @@ def test_evaluate_rejects_empty(small_world):
     model = small_world[4]
     with pytest.raises(EmptyDataset):
         evaluate(model, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_features_rejects_non_finite_rows(small_world, bad):
+    _, _, _, test, model = small_world
+    X, y, _ = extract_feature_matrix(test[:5])
+    X[3, 7] = bad
+    with pytest.raises(NonFiniteInput, match=r"^\[features\] test row 3 "):
+        evaluate_features(model, X, y)
 
 
 def test_refit_is_deterministic_and_ignores_test_set(tmp_path, small_world):
