@@ -43,7 +43,8 @@ for f, gn, gb in zip(probe, gain_notch, gain_band):
 profile = SynthProfile(components=((6.0, 1.0, 9.0), (21.0, 2.0, 5.0)),
                        noise_floor=1.0, seed=21)
 rec = generate_synthetic_subject(profile, duration_s=20.0, fs=FS)
-filtered = apply_filter(band, apply_filter(notch, rec))
+# Both designs are (sections, 6) SOS arrays; stacked, they run as one cascade.
+filtered = apply_filter(np.vstack([notch, band]), rec)
 model = asr_calibrate(filtered, k=15.0, win_s=0.5)
 
 burst = slice(2000, 2125)  # 0.5 s

@@ -12,8 +12,6 @@ from .dsp import (
     HOP_S,
     WINDOW_S,
     AsrModel,
-    BiquadSection,
-    FilterCascade,
     Window,
     apply_filter,
     asr_calibrate,
@@ -84,8 +82,8 @@ from .svm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsrModel", "BiquadSection", "DEFAULT_FS", "EEG_CHANNELS", "EvalReport",
-    "FEATURE_NAMES", "FilterCascade", "HOP_S", "IdentificationResult",
+    "AsrModel", "DEFAULT_FS", "EEG_CHANNELS", "EvalReport", "FEATURE_NAMES",
+    "HOP_S", "IdentificationResult",
     "KernelSpec", "LabeledDataset", "MulticlassSvmModel", "PcaModel",
     "PreprocessFlags", "Recording", "SplitSpec", "Standardizer",
     "SynthProfile", "TrainedPipeline", "WINDOW_S", "Window", "apply_filter",

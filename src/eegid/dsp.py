@@ -1,7 +1,9 @@
 """Preprocessing chain: notch + Butterworth bandpass IIR filters, a
 simplified artifact subspace reconstruction, and overlapping windowing.
 
-Filters are causal (forward-only, zero initial state), matching a
+A filter is a second-order-section (SOS) array of shape (sections, 6),
+one [b0, b1, b2, 1, a1, a2] row per biquad, as scipy.signal designs and
+runs it. Filters are causal (forward-only, zero initial state), matching a
 real-time acquisition pipeline; phase distortion is irrelevant to the
 amplitude and entropy features computed downstream. The chain order used
 by the pipeline is notch, then bandpass, then ASR, then windowing, on
@@ -34,70 +36,35 @@ WINDOW_S = 0.8
 HOP_S = 0.4
 
 
-@dataclass(frozen=True)
-class BiquadSection:
-    """Second-order IIR section, a0 normalized to 1.
-
-    H(z) = (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2)
-    """
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        coeffs = (self.b0, self.b1, self.b2, self.a1, self.a2)
-        if not all(np.isfinite(c) for c in coeffs):
-            raise InvalidArgument("biquad coefficients must be finite")
-
-    def poles(self) -> np.ndarray:
-        return np.roots([1.0, self.a1, self.a2])
+def _checked_sos(sos) -> np.ndarray:
+    """The filter as a float (sections, 6) array with a0 == 1 in every row."""
+    try:
+        a = np.asarray(sos, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgument(f"filter is not a numeric SOS array: {e}") from e
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != 6:
+        raise InvalidArgument(f"filter must be a (sections, 6) SOS array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidArgument("filter coefficients must be finite")
+    if not np.all(a[:, 3] == 1.0):
+        raise InvalidArgument("every filter section needs a0 == 1")
+    return a
 
 
-@dataclass(frozen=True)
-class FilterCascade:
-    """Ordered biquad sections; overall response is their product."""
-
-    sections: tuple[BiquadSection, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sections", tuple(self.sections))
-        if not self.sections:
-            raise InvalidArgument("cascade needs at least one section")
-
-
-def _as_sections(filt) -> tuple[BiquadSection, ...]:
-    if isinstance(filt, BiquadSection):
-        return (filt,)
-    return filt.sections
-
-
-def _sos_array(filt) -> np.ndarray:
-    rows = [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in _as_sections(filt)]
-    return np.array(rows)
-
-
-def is_stable(filt) -> bool:
+def is_stable(sos) -> bool:
     """True iff every section's poles lie strictly inside the unit circle."""
-    return all(np.all(np.abs(s.poles()) < 1.0) for s in _as_sections(filt))
+    return all(np.all(np.abs(np.roots(row[3:])) < 1.0) for row in _checked_sos(sos))
 
 
-def frequency_response(filt, freqs_hz, fs: float) -> np.ndarray:
+def frequency_response(sos, freqs_hz, fs: float) -> np.ndarray:
     """Complex response at the given frequencies (Hz), product over sections."""
     freqs_hz = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
-    z = np.exp(2j * np.pi * freqs_hz / fs)
-    zi1 = 1.0 / z
-    zi2 = zi1 * zi1
-    h = np.ones_like(z)
-    for s in _as_sections(filt):
-        h *= (s.b0 + s.b1 * zi1 + s.b2 * zi2) / (1.0 + s.a1 * zi1 + s.a2 * zi2)
-    return h
+    return scipy.signal.sosfreqz(_checked_sos(sos), worN=freqs_hz, fs=fs)[1]
 
 
-def design_notch(f0: float, q: float = DEFAULT_NOTCH_Q, fs: float = 250.0) -> BiquadSection:
-    """Constrained pole-zero notch: unit gain at DC and Nyquist, zero at f0.
+def design_notch(f0: float, q: float = DEFAULT_NOTCH_Q, fs: float = 250.0) -> np.ndarray:
+    """Constrained pole-zero notch as a (1, 6) SOS array: unit gain at DC
+    and Nyquist, zero at f0.
 
     Standard cookbook design: zeros on the unit circle at +/-w0, poles at
     the same angles with radius set by the quality factor q.
@@ -110,21 +77,15 @@ def design_notch(f0: float, q: float = DEFAULT_NOTCH_Q, fs: float = 250.0) -> Bi
     alpha = np.sin(w0) / (2.0 * q)
     cw = np.cos(w0)
     a0 = 1.0 + alpha
-    return BiquadSection(
-        b0=1.0 / a0,
-        b1=-2.0 * cw / a0,
-        b2=1.0 / a0,
-        a1=-2.0 * cw / a0,
-        a2=(1.0 - alpha) / a0,
-    )
+    return np.array([[1.0, -2.0 * cw, 1.0, a0, -2.0 * cw, 1.0 - alpha]]) / a0
 
 
 def design_butterworth_bandpass(order: int, f_lo: float, f_hi: float,
-                                fs: float) -> FilterCascade:
-    """Bilinear-transform Butterworth bandpass as a biquad cascade.
+                                fs: float) -> np.ndarray:
+    """Bilinear-transform Butterworth bandpass as an (order/2, 6) SOS array.
 
-    `order` is the overall filter order (must be even); the cascade holds
-    order/2 sections. Edges are the usual -3 dB points.
+    `order` is the overall filter order (must be even). Edges are the
+    usual -3 dB points.
     """
     if order < 2 or order % 2 != 0:
         raise UnsupportedOrder(f"bandpass order must be even and >= 2, got {order}")
@@ -132,18 +93,17 @@ def design_butterworth_bandpass(order: int, f_lo: float, f_hi: float,
         raise FrequencyOutOfRange(
             f"band edges ({f_lo}, {f_hi}) must satisfy 0 < lo < hi < {fs / 2}"
         )
-    sos = scipy.signal.butter(order // 2, [f_lo, f_hi], btype="bandpass",
-                              fs=fs, output="sos")
-    sections = []
-    for b0, b1, b2, a0, a1, a2 in sos:
-        sections.append(BiquadSection(b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0))
-    return FilterCascade(sections=tuple(sections))
+    return scipy.signal.butter(order // 2, [f_lo, f_hi], btype="bandpass",
+                               fs=fs, output="sos")
 
 
-def apply_filter(filt, r: Recording) -> Recording:
-    """Causal direct-form II transposed filtering, per channel, zero state."""
-    sos = _sos_array(filt)
-    out = scipy.signal.sosfilt(sos, r.data, axis=1)
+def apply_filter(sos, r: Recording) -> Recording:
+    """Causal direct-form II transposed filtering, per channel, zero state.
+
+    `sos` is a (sections, 6) array of [b0, b1, b2, 1, a1, a2] rows, run in
+    order; stack designs with np.vstack to run them as one cascade.
+    """
+    out = scipy.signal.sosfilt(_checked_sos(sos), r.data, axis=1)
     if not np.isfinite(out).all():
         raise NonFiniteOutput("filter output contains NaN/Inf (unstable filter?)")
     return Recording(channels=r.channels, fs=r.fs, data=out)
@@ -327,7 +287,8 @@ def segment_windows(r: Recording, subject_id: int, win_s: float = WINDOW_S,
         raise InvalidArgument(f"window/hop of {win_s}/{hop_s}s at {r.fs} Hz is empty")
     n = r.n_samples
     if n < width:
-        raise RecordingTooShort(f"{n} samples < one window of {width}")
+        raise RecordingTooShort(f"need >= {width / r.fs:g} s at {r.fs:g} Hz "
+                                f"({width} samples, one window), got {n}")
     views = np.lib.stride_tricks.sliding_window_view(r.data, width, axis=1)
     return [
         Window(data=views[:, start], subject_id=subject_id,

@@ -409,11 +409,15 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
     column per feature (exact decimal text, so loading is lossless).
 
     Optional metadata (e.g. the preprocessing settings that produced the
-    windows) goes into leading ``# key=value`` comment lines.
+    windows) goes into leading ``# key=value`` comment lines. Labels and
+    starts must be integers below 2**53, as load_feature_table requires.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    starts = np.asarray(starts, dtype=int)
+    labels, starts = np.asarray(labels), np.asarray(starts)
+    for name, ids in (("subject_id", labels), ("start_index", starts)):
+        if np.any((ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53)):
+            raise InvalidArgument(f"{name} must be integers below 2**53")
+    labels, starts = labels.astype(int), starts.astype(int)
     if X.shape[1] % N_FEATURES != 0:
         raise InvalidArgument(
             f"feature count {X.shape[1]} is not a multiple of {N_FEATURES}"

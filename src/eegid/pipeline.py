@@ -136,14 +136,13 @@ def _fields_from_meta(cls, meta: dict[str, str]):
 
 
 def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags()) -> Recording:
-    """Notch, bandpass, then (optionally) ASR cleaning, in that order.
+    """Notch and bandpass as one SOS cascade, then (optionally) ASR cleaning.
 
     ASR calibrates on the filtered recording's own cleanest windows.
     """
     notch = dsp.design_notch(flags.notch_f0, flags.notch_q, r.fs)
-    bandpass = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo,
-                                               flags.bp_hi, r.fs)
-    filtered = dsp.apply_filter(bandpass, dsp.apply_filter(notch, r))
+    bandpass = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, r.fs)
+    filtered = dsp.apply_filter(np.vstack([notch, bandpass]), r)
     if not flags.asr:
         return filtered
     try:
@@ -351,7 +350,10 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
         )
     check_sampling_rate(p, r.fs, "recording")
     cleaned = preprocess_recording(r, p.flags)
-    windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
+    try:
+        windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
+    except EegIdError as e:
+        raise _stage("window", e) from e
     X, _, _ = extract_feature_matrix(windows)
     preds = predict_batch(p.svm, p.transform(X))
     counts = {c: int(np.sum(preds == c)) for c in p.svm.classes}

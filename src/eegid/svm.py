@@ -78,9 +78,10 @@ class KernelSpec:
             if self.gamma is None or not (np.isfinite(self.gamma) and self.gamma > 0):
                 raise InvalidArgument(f"{kind} kernel needs gamma > 0, got {self.gamma}")
         if kind == "poly":
-            if self.degree is None or int(self.degree) < 1:
-                raise InvalidArgument(f"poly kernel needs degree >= 1, got {self.degree}")
-            object.__setattr__(self, "degree", int(self.degree))
+            d = self.degree
+            if d is None or not (float(d).is_integer() and d >= 1):
+                raise InvalidArgument(f"poly kernel needs an integer degree >= 1, got {d}")
+            object.__setattr__(self, "degree", int(d))
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}", f"C={self.c:g}"]

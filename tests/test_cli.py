@@ -84,6 +84,24 @@ def test_identify_recovers_subject(world, capsys, tmp_path):
     assert "majority:" in out
 
 
+def test_identify_too_short_names_window_minimum(world, tmp_path, capsys):
+    _, ds_dir, _, _ = world
+    feat = tmp_path / "features.csv"
+    model = tmp_path / "model.txt"
+    assert main(["extract", "--in", str(ds_dir), "--out", str(feat), "--no-asr"]) == 0
+    assert main(["train", "--features", str(feat), "--model", str(model),
+                 "--kernel", "linear", "--c", "1"]) == 0
+    rec = signal_io.load_dataset(ds_dir).entries[0][1]
+    rec_csv = tmp_path / "rec.csv"
+    signal_io.save_recording_csv(
+        signal_io.Recording(channels=rec.channels, fs=rec.fs, data=rec.data[:, :150]),
+        rec_csv)
+    capsys.readouterr()
+    assert main(["identify", "--model", str(model), "--in", str(rec_csv)]) == 2
+    assert ("[window] need >= 0.8 s at 250 Hz (200 samples, one window), got 150"
+            in capsys.readouterr().err)
+
+
 def test_preprocess_roundtrip(world, tmp_path):
     _, ds_dir, _, _ = world
     out_dir = tmp_path / "clean"

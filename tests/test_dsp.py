@@ -5,8 +5,6 @@ import pytest
 
 from eegid.dsp import (
     AsrModel,
-    BiquadSection,
-    FilterCascade,
     apply_filter,
     asr_calibrate,
     asr_clean,
@@ -19,6 +17,7 @@ from eegid.dsp import (
 from eegid.errors import (
     ChannelMismatch,
     FrequencyOutOfRange,
+    InvalidArgument,
     NonFiniteOutput,
     RankDeficientCovariance,
     RecordingTooShort,
@@ -74,7 +73,7 @@ def test_notch_frequency_validation():
 
 def test_bandpass_edges_at_minus_3db():
     f = design_butterworth_bandpass(4, 0.1, 100.0, FS)
-    assert len(f.sections) == 2
+    assert f.shape == (2, 6)
     for edge in (0.1, 100.0):
         mag_db = 20 * np.log10(abs(frequency_response(f, edge, FS)[0]))
         assert abs(mag_db - (-3.0)) <= 0.5
@@ -117,9 +116,8 @@ def test_designed_filters_stable_across_parameters():
     for order in (2, 4, 6, 8):
         for lo, hi in ((0.1, 100.0), (1.0, 40.0), (8.0, 13.0)):
             f = design_butterworth_bandpass(order, lo, hi, FS)
+            assert f.shape == (order // 2, 6)
             assert is_stable(f)
-            for s in f.sections:
-                assert np.all(np.abs(s.poles()) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def test_designed_filters_stable_across_parameters():
 # ---------------------------------------------------------------------------
 
 def test_identity_cascade_passthrough():
-    ident = FilterCascade((BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0),))
+    ident = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 500))
     y = apply_filter(ident, _rec(x)).data
@@ -170,10 +168,27 @@ def test_impulse_response_matches_analytic_response():
 
 
 def test_unstable_filter_raises():
-    bad = BiquadSection(1.0, 0.0, 0.0, 0.0, -1.21)  # poles at +/-1.1
+    bad = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, -1.21]])  # poles at +/-1.1
+    assert not is_stable(bad)
     x = np.ones(20000)
     with pytest.raises(NonFiniteOutput):
         apply_filter(bad, _rec(x))
+
+
+@pytest.mark.parametrize("sos", [
+    pytest.param(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), id="one-row-1d"),
+    pytest.param(np.zeros((0, 6)), id="no-sections"),
+    pytest.param(np.ones((1, 5)), id="five-columns"),
+    pytest.param(np.array([[1.0, 0.0, 0.0, 1.0, np.nan, 0.0]]), id="nan"),
+    pytest.param(np.array([[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]]), id="a0-not-1"),
+    pytest.param([[1.0, 0.0], [1.0]], id="ragged"),
+])
+def test_malformed_sos_rejected(sos):
+    r = _rec(np.ones(100))
+    for call in (lambda: apply_filter(sos, r), lambda: is_stable(sos),
+                 lambda: frequency_response(sos, 10.0, FS)):
+        with pytest.raises(InvalidArgument):
+            call()
 
 
 def test_notch_bandpass_chain_attenuation():

@@ -660,3 +660,23 @@ def test_save_feature_table_wraps_os_errors(tmp_path):
     with pytest.raises(IoFailure, match="cannot write"):
         save_feature_table(tmp_path / "missing" / "features.csv",
                            np.ones((1, N_FEATURES)), [0], [0])
+
+
+@pytest.mark.parametrize("labels, starts, bad", [
+    ([0.7, 1.5], [0, 100], "subject_id"),
+    ([0, 1], [0, 100.9], "start_index"),
+    ([0, 2.0 ** 53], [0, 100], "subject_id"),
+    ([0, 1], [0, np.nan], "start_index"),
+])
+def test_save_feature_table_refuses_non_integral_ids(tmp_path, labels, starts, bad):
+    path = tmp_path / "features.csv"
+    with pytest.raises(InvalidArgument, match=f"^{bad} must be integers below 2\\*\\*53"):
+        save_feature_table(path, np.ones((2, N_FEATURES)), labels, starts)
+    assert not path.exists()
+
+
+def test_save_feature_table_writes_integral_float_ids_as_ints(tmp_path):
+    X = np.ones((2, N_FEATURES))
+    save_feature_table(tmp_path / "int.csv", X, [0, 3], [0, 100])
+    save_feature_table(tmp_path / "float.csv", X, [0.0, 3.0], np.array([0.0, 100.0]))
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from eegid import pipeline, signal_io
+from eegid import dsp, pipeline, signal_io
 from eegid.dsp import Window
 from eegid.errors import (
     ChannelMismatch,
@@ -312,7 +312,9 @@ def test_identify_too_short(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,
         data=np.random.default_rng(1).normal(size=(8, 150)))
-    with pytest.raises(RecordingTooShort):
+    with pytest.raises(RecordingTooShort,
+                       match=r"^\[window\] need >= 0.8 s at 250 Hz "
+                             r"\(200 samples, one window\), got 150$"):
         identify(no_asr_model, rec)
 
 
@@ -322,6 +324,16 @@ def test_identify_short_recording_names_asr_minimum(small_world):
         data=np.random.default_rng(3).normal(size=(8, 1000)))  # 4 s
     with pytest.raises(TooShortForCalibration, match=r"^\[asr\] .*need >= 5 s at 250 Hz"):
         identify(small_world[4], rec)
+
+
+def test_preprocess_filters_in_one_pass_as_notch_then_bandpass():
+    rec = signal_io.generate_synthetic_dataset(n_subjects=2, duration_s=10.0,
+                                               fs=250.0, master_seed=7).entries[0][1]
+    notch = dsp.design_notch(60.0, dsp.DEFAULT_NOTCH_Q, 250.0)
+    band = dsp.design_butterworth_bandpass(4, 0.1, 100.0, 250.0)
+    one_pass = pipeline.preprocess_recording(rec, PreprocessFlags(asr=False)).data
+    two_pass = dsp.apply_filter(band, dsp.apply_filter(notch, rec)).data
+    assert np.array_equal(one_pass.view(np.uint64), two_pass.view(np.uint64))
 
 
 def test_identify_single_window_majority_is_unit(no_asr_model):

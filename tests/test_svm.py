@@ -67,6 +67,11 @@ def test_kernel_spec_validation():
     with pytest.raises(InvalidArgument):
         KernelSpec("poly", 1.0, gamma=0.1)  # missing degree
     assert KernelSpec("polynomial", 1.0, gamma=0.1, degree=3).kind == "poly"
+    for degree in (2.7, 0, float("nan")):
+        with pytest.raises(InvalidArgument, match="integer degree"):
+            KernelSpec("poly", 1.0, gamma=0.1, degree=degree)
+    spec = KernelSpec("poly", 1.0, gamma=0.1, degree=2.0)
+    assert spec.degree == 2 and type(spec.degree) is int
 
 
 def test_rbf_gram_positive_semidefinite():
