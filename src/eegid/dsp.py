@@ -37,9 +37,10 @@ HOP_S = 0.4
 
 
 def _checked_sos(sos) -> np.ndarray:
-    """The filter as a float (sections, 6) array with a0 == 1 in every row."""
+    """The filter as a private float (sections, 6) copy with a0 == 1 in every
+    row (a copy, because sosfilt refuses read-only arrays)."""
     try:
-        a = np.asarray(sos, dtype=float)
+        a = np.array(sos, dtype=float)
     except (TypeError, ValueError) as e:
         raise InvalidArgument(f"filter is not a numeric SOS array: {e}") from e
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != 6:

@@ -22,6 +22,7 @@ coefficients); a v1 file, one [pair a b] section per machine, is refused.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import typing
 from dataclasses import dataclass
@@ -135,14 +136,23 @@ def _fields_from_meta(cls, meta: dict[str, str]):
     return cls(**values)
 
 
+@functools.lru_cache(maxsize=16)
+def _filter_cascade(flags: PreprocessFlags, fs: float) -> np.ndarray:
+    """The notch + bandpass SOS cascade, designed once per (flags, fs) and
+    shared read-only."""
+    notch = dsp.design_notch(flags.notch_f0, flags.notch_q, fs)
+    bandpass = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, fs)
+    sos = np.vstack([notch, bandpass])
+    sos.flags.writeable = False
+    return sos.view()  # a view of a read-only array cannot be made writeable
+
+
 def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags()) -> Recording:
     """Notch and bandpass as one SOS cascade, then (optionally) ASR cleaning.
 
     ASR calibrates on the filtered recording's own cleanest windows.
     """
-    notch = dsp.design_notch(flags.notch_f0, flags.notch_q, r.fs)
-    bandpass = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, r.fs)
-    filtered = dsp.apply_filter(np.vstack([notch, bandpass]), r)
+    filtered = dsp.apply_filter(_filter_cascade(flags, r.fs), r)
     if not flags.asr:
         return filtered
     try:

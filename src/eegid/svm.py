@@ -102,12 +102,14 @@ def gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return A @ B.T
     if k.kind == "poly":
         return (k.gamma * (A @ B.T) + k.coef0) ** k.degree
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-k.gamma * np.clip(sq, 0.0, None))
+    return _rbf(k.gamma, np.sum(A * A, axis=1), np.sum(B * B, axis=1), A @ B.T)
+
+
+def _rbf(gamma: float, a_sq: np.ndarray, b_sq: np.ndarray,
+         dots: np.ndarray) -> np.ndarray:
+    """exp(-gamma |a - b|^2) from the row norms of A and B and A @ B.T."""
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
+    return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
 def kernel_eval(k: KernelSpec, x, y) -> float:
@@ -270,6 +272,20 @@ def _lockstep(y, diag, rows, c, tol, max_passes, step_hook):
         steps += 1
 
 
+def _kernel_rows(k: KernelSpec, x: np.ndarray):
+    """rows((p, t)) = K[t] over the rows of x, one gram per call. An RBF row
+    is built from the linear kernel row and row norms of x computed here,
+    once, instead of in every gram call."""
+    if k.kind != "rbf":
+        return lambda idx: gram(k, x[idx[1]], x)
+    x_sq, linear = np.sum(x * x, axis=1), KernelSpec("linear", k.c)
+
+    def rows(idx):
+        a = x[idx[1]]
+        return _rbf(k.gamma, np.sum(a * a, axis=1), x_sq, gram(linear, a, x))
+    return rows
+
+
 def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
     """Yield (y * alpha, bias) of each pair problem (rows of X, -1/+1 labels,
     error prefix) in order, each _cache_groups group solved in _lockstep;
@@ -286,10 +302,7 @@ def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
             diag, rows = np.diagonal(K, axis1=1, axis2=2).copy(), K.__getitem__
         else:  # a lone pair: two kernel rows per update
             x = X[sub[0][0]]
-            diag = _gram_diag(k, x)[None, :]
-
-            def rows(idx):
-                return gram(k, x[idx[1]], x)
+            diag, rows = _gram_diag(k, x)[None, :], _kernel_rows(k, x)
         found = {q: r for q, *r in _lockstep(Y, diag, rows, k.c, tol,
                                                 max_passes, step_hook)}
         for q, (r, y, prefix) in enumerate(sub):

@@ -13,6 +13,7 @@ DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 # lines a demo must print, beyond exiting 0
 EXPECTED_STDOUT = {
+    "01_synthetic_dataset": ("strongest non-DC component on channel FP2: 4.00 Hz",),
     "05_svm_training": ("grid results (best first):", "best linear:", "best rbf:"),
 }
 

@@ -24,18 +24,20 @@ from eegid.features import (
     FEATURE_NAMES,
     N_FEATURES,
     FeatureVector,
-    PsdEstimate,
-    band_power,
-    channel_features,
     extract_feature_matrix,
     extract_feature_vector,
     feature_column_names,
+    load_feature_table,
+    save_feature_table,
+)
+from feature_reference import (
+    PsdEstimate,
+    band_power,
+    channel_features,
     hjorth,
     kurtosis,
-    load_feature_table,
     periodogram,
     rms,
-    save_feature_table,
     shannon_entropy,
     skewness,
     spectral_entropy,
@@ -480,12 +482,13 @@ def test_feature_vector_validation():
 
 
 # ---------------------------------------------------------------------------
-# Batch kernel against the scalar reference
+# Batch kernel against the scalar reference (feature_reference.py)
 # ---------------------------------------------------------------------------
 
 def _assert_matches_reference(windows):
-    """extract_feature_matrix equals channel_features per channel, bit for
-    bit: the batch kernel repeats the scalar arithmetic along an axis."""
+    """extract_feature_matrix equals the reference channel_features per
+    channel, bit for bit: the batch kernel repeats its arithmetic along an
+    axis."""
     X, _, _ = extract_feature_matrix(windows)
     want = np.array([np.concatenate([channel_features(ch, w.fs) for ch in w.data])
                      for w in windows])

@@ -336,6 +336,43 @@ def test_preprocess_filters_in_one_pass_as_notch_then_bandpass():
     assert np.array_equal(one_pass.view(np.uint64), two_pass.view(np.uint64))
 
 
+def test_filter_cascade_is_designed_once_per_flags_and_rate(monkeypatch, no_asr_model):
+    designs = []
+
+    def counting_design(*args):
+        designs.append(args)
+        return design(*args)
+
+    design = dsp.design_butterworth_bandpass
+    monkeypatch.setattr(dsp, "design_butterworth_bandpass", counting_design)
+    pipeline._filter_cascade.cache_clear()
+    rec = signal_io.Recording(
+        channels=signal_io.EEG_CHANNELS, fs=250.0,
+        data=np.random.default_rng(4).normal(size=(8, 600)))
+    first = identify(no_asr_model, rec)
+    second = identify(no_asr_model, rec)
+    assert len(designs) == 1
+    assert np.array_equal(first.window_labels, second.window_labels)
+
+    flags = no_asr_model.flags
+    pipeline.preprocess_recording(rec, dataclasses.replace(flags, bp_hi=90.0))
+    assert len(designs) == 2
+    fast = signal_io.Recording(channels=rec.channels, fs=500.0, data=rec.data)
+    pipeline.preprocess_recording(fast, flags)
+    assert len(designs) == 3
+    identify(no_asr_model, rec)
+    assert len(designs) == 3
+
+    sos = pipeline._filter_cascade(flags, 250.0)
+    with pytest.raises(ValueError):
+        sos[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sos.flags.writeable = True
+    assert np.array_equal(sos, np.vstack([
+        dsp.design_notch(flags.notch_f0, flags.notch_q, 250.0),
+        design(flags.bp_order, flags.bp_lo, flags.bp_hi, 250.0)]))
+
+
 def test_identify_single_window_majority_is_unit(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,
