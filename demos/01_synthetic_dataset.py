@@ -34,12 +34,13 @@ print(f"strongest non-DC component on channel {rec.channels[0]}: {peak:.2f} Hz")
 # Round-trip through the on-disk layout: a meta.txt sidecar plus one CSV
 # per recording. Samples are written as exact decimal text, so the
 # reloaded arrays match bit for bit.
-root = Path(tempfile.mkdtemp()) / "demo_dataset"
-save_dataset(ds, root, generator="numpy-pcg64", seed=7)
-back = load_dataset(root)
-total = sum(r.data.size for _, r in back.entries)
-exact = all(np.array_equal(a.data, b.data)
-            for (_, a), (_, b) in zip(ds.entries, back.entries))
-print(f"reloaded {len(back.entries)} recordings, {total} samples, "
-      f"bit-exact: {exact}")
-print(f"dataset directory: {root}")
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp) / "demo_dataset"
+    save_dataset(ds, root, generator="numpy-pcg64", seed=7)
+    back = load_dataset(root)
+    total = sum(r.data.size for _, r in back.entries)
+    exact = all(np.array_equal(a.data, b.data)
+                for (_, a), (_, b) in zip(ds.entries, back.entries))
+    print(f"reloaded {len(back.entries)} recordings, {total} samples, "
+          f"bit-exact: {exact}")
+    print(f"dataset directory: {root}")

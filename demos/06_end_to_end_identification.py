@@ -78,9 +78,10 @@ print(f"vote shares: { {c: round(s, 3) for c, s in result.shares.items()} }")
 
 # Persist and reload: the reloaded pipeline makes identical predictions,
 # and the file carries a checksum so corruption is caught at load time.
-path = Path(tempfile.mkdtemp()) / "cohort.model"
-save_model(pipe, path)
-again = load_model(path)
-same = identify(again, fresh)
-print(f"\nmodel file: {path.stat().st_size} bytes")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "cohort.model"
+    save_model(pipe, path)
+    again = load_model(path)
+    same = identify(again, fresh)
+    print(f"\nmodel file: {path.stat().st_size} bytes")
 print(f"reloaded pipeline agrees: {same.label == result.label}")

@@ -16,13 +16,15 @@ when m - M <= tol, M being the smallest score over I_low: every bias in
 
 The one-vs-one pair problems run in lockstep: each loop iteration makes
 one update in every pair still running, by numpy calls over (pairs, rows)
-arrays padded to the largest pair. Both choices take a pair's lowest
-index among ties, so each pair follows exactly its own deterministic
-path, and stops on its own test or budget of max_passes * n updates.
-Consecutive pairs share a loop while their padded Gram caches hold at
-most KERNEL_CACHE_LIMIT**2 entries; a pair above KERNEL_CACHE_LIMIT rows
-runs alone, computing two kernel rows per update. train_binary_smo is
-the same loop on one pair.
+arrays padded to the largest pair. Each pair problem carries its own
+kernel and C, so a grid search solves the pairs of all of its cells in
+one loop, as train_multiclass solves the pairs of one model. Both
+choices take a pair's lowest index among ties, so each pair follows
+exactly its own deterministic path, and stops on its own test or budget
+of max_passes * n updates. Consecutive pairs share a loop while their
+padded Gram caches hold at most KERNEL_CACHE_LIMIT**2 entries; a pair
+above KERNEL_CACHE_LIMIT rows runs alone, computing two kernel rows per
+update. train_binary_smo is the same loop on one pair.
 
 Decision convention for a pair (a, b) with a < b: training labels are -1
 for class a and +1 for class b, so f(x) > 0 votes for b. As in LIBSVM, a
@@ -213,12 +215,14 @@ def _cache_groups(sizes) -> list[list[int]]:
     largest pair, hold at most KERNEL_CACHE_LIMIT**2 entries; a pair
     above KERNEL_CACHE_LIMIT rows runs alone, uncached."""
     groups: list[list[int]] = []
+    width = 0  # the largest pair of the current run
     for p, n in enumerate(sizes):
-        width = max([n] + [sizes[q] for q in groups[-1]]) if groups else n
+        width = max(width, n)
         if groups and (len(groups[-1]) + 1) * width**2 <= KERNEL_CACHE_LIMIT**2:
             groups[-1].append(p)
         else:
             groups.append([p])
+            width = n
     return groups
 
 
@@ -226,11 +230,13 @@ def _lockstep(y, diag, rows, c, tol, max_passes, step_hook):
     """WSS2 on P pair problems at once. As pair q stops, yields (q, v,
     score, m, m - M, converged), v = y * alpha and score cut to its n
     rows. y (P, N) holds each pair's labels and diag its kernel diagonal,
-    both zero after n; rows((p, t)) returns K_p[t_p], zero in the padding.
+    both zero after n; c (P,) holds each pair's C; rows((p, t)) returns
+    K_p[t_p], zero in the padding.
     """
     n = np.count_nonzero(y, axis=1)
     # alpha_t may move along y_t (t in I_up) while v_t < hi_t and against
     # y_t (t in I_low) while v_t > lo_t; padding has v = hi = lo = 0
+    c = c[:, None]
     hi, lo = np.where(y > 0, c, 0.0), np.where(y < 0, -c, 0.0)
     pid, v, s, budget = np.arange(len(y)), np.zeros_like(y), y.copy(), max_passes * n
     ar, no, tau, steps = np.arange(len(y)), np.float64(-np.inf), np.float64(_TAU), 0
@@ -286,35 +292,40 @@ def _kernel_rows(k: KernelSpec, x: np.ndarray):
     return rows
 
 
-def _train_pairs(X, problems, k: KernelSpec, tol, max_passes, step_hook):
-    """Yield (y * alpha, bias) of each pair problem (rows of X, -1/+1 labels,
-    error prefix) in order, each _cache_groups group solved in _lockstep;
-    raise NonConvergence for the first pair that exhausts its budget."""
-    for group in _cache_groups([len(y) for _, y, _ in problems]):
+def _train_pairs(X, problems, tol, max_passes, step_hook):
+    """Yield (y * alpha, bias, error) of each pair problem (rows of X,
+    -1/+1 labels, KernelSpec, error prefix) in order, each _cache_groups
+    group solved in _lockstep; error is the NonConvergence of a pair that
+    exhausts its budget, else None."""
+    for group in _cache_groups([len(y) for _, y, _, _ in problems]):
         sub = [problems[p] for p in group]
-        N = max(len(y) for _, y, _ in sub)
-        Y = np.array([np.pad(y, (0, N - len(y))) for _, y, _ in sub])
+        N = max(len(y) for _, y, _, _ in sub)
+        Y = np.zeros((len(sub), N))
+        for q, (_, y, _, _) in enumerate(sub):
+            Y[q, :len(y)] = y
         if N <= KERNEL_CACHE_LIMIT:
             K = np.zeros((len(sub), N, N))
-            for q, (r, y, _) in enumerate(sub):
+            for q, (r, y, k, _) in enumerate(sub):
                 x = X[r]  # one array, so numpy forms A @ A.T symmetric (syrk)
                 K[q, :len(y), :len(y)] = gram(k, x, x)
             diag, rows = np.diagonal(K, axis1=1, axis2=2).copy(), K.__getitem__
         else:  # a lone pair: two kernel rows per update
-            x = X[sub[0][0]]
+            x, k = X[sub[0][0]], sub[0][2]
             diag, rows = _gram_diag(k, x)[None, :], _kernel_rows(k, x)
-        found = {q: r for q, *r in _lockstep(Y, diag, rows, k.c, tol,
+        c = np.array([k.c for _, _, k, _ in sub])
+        found = {q: r for q, *r in _lockstep(Y, diag, rows, c, tol,
                                                 max_passes, step_hook)}
-        for q, (r, y, prefix) in enumerate(sub):
+        for q, (r, y, k, prefix) in enumerate(sub):
             v, s, m, gap, converged = found[q]
             b = _bias(np.abs(v), s, k.c, float(m), float(gap))
+            error = None
             if not converged:
                 worst = _kkt_violation(np.abs(v), y * (y - s + b), k.c)
-                raise NonConvergence(
+                error = NonConvergence(
                     f"{prefix}SMO did not converge in {max_passes} sweeps of "
                     f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
                     f"KKT violation {worst:.3e})", kkt_violation=worst)
-            yield v, b
+            yield v, b, error
 
 
 def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
@@ -331,8 +342,10 @@ def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
         raise InvalidArgument("labels must be -1/+1")
     if np.unique(y).size < 2:
         raise SingleClassInput("training data contains a single class")
-    v, b = next(_train_pairs(X, [(slice(None), y, "")], k, tol, max_passes,
-                             step_hook))
+    v, b, error = next(_train_pairs(X, [(slice(None), y, k, "")], tol,
+                                    max_passes, step_hook))
+    if error is not None:
+        raise error
     return BinarySvm(X[v != 0], v[v != 0], b, k)
 
 
@@ -378,6 +391,37 @@ class MulticlassSvmModel:
         return self.support_vectors.shape[1]
 
 
+def _train_specs(X, labels, specs, tol, max_passes, step_hook):
+    """A one-vs-one model for each spec, or the NonConvergence of its first
+    pair that exhausts its budget: the pair problems of every spec, spec
+    by spec, go through one _train_pairs call."""
+    classes = tuple(int(c) for c in np.unique(labels))
+    if len(classes) < 2:
+        raise SingleClassInput(f"need >= 2 classes, got {classes}")
+    pairs = [(a, b) for ia, a in enumerate(classes) for b in classes[ia + 1:]]
+    rows = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
+    ys = [np.where(labels[r] == b, 1.0, -1.0) for r, (a, b) in zip(rows, pairs)]
+    # drained before any model is built, so that the last group's Gram
+    # cache is freed first: kept alive while the models were built, it
+    # raised the peak RSS of repeated fits by about one cache
+    solved = iter(list(_train_pairs(
+        X, [(r, y, k, f"pair ({a},{b}): ") for k in specs
+            for r, y, (a, b) in zip(rows, ys, pairs)],
+        tol, max_passes, step_hook)))
+    results: list[MulticlassSvmModel | NonConvergence] = []
+    for k in specs:
+        coef, bias = np.zeros((len(pairs), len(X))), np.zeros(len(pairs))
+        failed = None
+        for p, (v, b, error) in zip(range(len(pairs)), solved):
+            coef[p, rows[p]], bias[p] = v, b
+            failed = failed or error
+        used = coef.any(axis=0)  # the training rows some pair keeps
+        results.append(failed or MulticlassSvmModel(
+            classes=classes, support_vectors=X[used], dual_coef=coef[:, used],
+            bias=bias, kernel=k))
+    return results
+
+
 def train_multiclass(X, labels, k: KernelSpec, tol: float = DEFAULT_TOL,
                      max_passes: int = DEFAULT_MAX_PASSES,
                      step_hook=None) -> MulticlassSvmModel:
@@ -388,20 +432,10 @@ def train_multiclass(X, labels, k: KernelSpec, tol: float = DEFAULT_TOL,
     """
     labels = np.asarray(labels, dtype=int)
     X = _solver_input(X, labels, tol, max_passes)
-    classes = tuple(int(c) for c in np.unique(labels))
-    if len(classes) < 2:
-        raise SingleClassInput(f"need >= 2 classes, got {classes}")
-    pairs = [(a, b) for ia, a in enumerate(classes) for b in classes[ia + 1:]]
-    rows = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
-    problems = [(r, np.where(labels[r] == b, 1.0, -1.0), f"pair ({a},{b}): ")
-                for r, (a, b) in zip(rows, pairs)]
-    coef, bias = np.zeros((len(pairs), len(X))), np.zeros(len(pairs))
-    for p, (v, b) in enumerate(_train_pairs(X, problems, k, tol, max_passes,
-                                            step_hook)):
-        coef[p, rows[p]], bias[p] = v, b
-    used = coef.any(axis=0)  # the training rows some pair keeps
-    return MulticlassSvmModel(classes=classes, support_vectors=X[used],
-                              dual_coef=coef[:, used], bias=bias, kernel=k)
+    model, = _train_specs(X, labels, [k], tol, max_passes, step_hook)
+    if isinstance(model, NonConvergence):
+        raise model
+    return model
 
 
 def decision_values(m: MulticlassSvmModel, X) -> np.ndarray:
@@ -518,31 +552,37 @@ def default_grids() -> dict[str, list[KernelSpec]]:
 def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
                 tol: float = DEFAULT_TOL,
                 max_passes: int = DEFAULT_MAX_PASSES) -> list[GridCell]:
-    """Evaluate every combination under the split protocol.
+    """Evaluate every combination under the split protocol. The pair
+    problems of all cells, and so of all pairs of each cell, share one
+    lockstep SMO loop per cache group (module docstring), each following
+    the path it would follow alone.
 
     Returns cells ranked by accuracy (failed cells last). A cell whose
     training runs out of budget records the NonConvergence message;
-    invalid tol, max_passes or rows raise InvalidArgument before any fit.
+    invalid tol, max_passes or rows, or a spec in the grid of another
+    kind, raise InvalidArgument before any fit.
     """
     labels = np.asarray(labels, dtype=int)
     X = _solver_input(X, labels, tol, max_passes)
     if not grids or not any(grids.values()):
         raise InvalidArgument("grid is empty")
-    train, test = split_rows(labels, split)
-    cells: list[GridCell] = []
+    specs: list[KernelSpec] = []
     for kind in sorted(grids):
         for spec in grids[kind]:
             if spec.kind != kind:
                 raise InvalidArgument(
                     f"grid for {kind!r} contains a {spec.kind!r} spec"
                 )
-            try:
-                model = train_multiclass(X[train], labels[train], spec,
-                                         tol, max_passes)
-                acc = float(np.mean(predict_batch(model, X[test]) == labels[test]))
-                cells.append(GridCell(spec=spec, accuracy=acc))
-            except NonConvergence as e:
-                cells.append(GridCell(spec=spec, accuracy=None, error=str(e)))
+            specs.append(spec)
+    train, test = split_rows(labels, split)
+    cells: list[GridCell] = []
+    for spec, model in zip(specs, _train_specs(X[train], labels[train], specs,
+                                               tol, max_passes, None)):
+        if isinstance(model, NonConvergence):
+            cells.append(GridCell(spec=spec, accuracy=None, error=str(model)))
+        else:
+            acc = float(np.mean(predict_batch(model, X[test]) == labels[test]))
+            cells.append(GridCell(spec=spec, accuracy=acc))
     cells.sort(key=lambda cell: (-(-1.0 if cell.accuracy is None else cell.accuracy),
                                  cell.spec.kind, cell.spec.describe()))
     return cells

@@ -19,11 +19,15 @@ EXPECTED_STDOUT = {
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(demo, tmp_path):
+    # a demo's scratch files go under TMPDIR and are gone when it exits
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     for line in EXPECTED_STDOUT.get(demo, ()):
         assert line in done.stdout
+    assert list(tmp.iterdir()) == []

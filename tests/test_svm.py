@@ -577,16 +577,16 @@ def test_grid_records_failures_without_raising():
     assert "converge" in cells[0].error
 
 
+def _no_gram(*args):
+    raise AssertionError("a Gram matrix was built")
+
+
 def test_solver_arguments_rejected_before_any_kernel(monkeypatch):
     X, y = _grid_data()
     nan_X = X.copy()
     nan_X[3, 1] = np.nan
     spec = KernelSpec("linear", 1.0)
-
-    def no_gram(*args):
-        raise AssertionError("a Gram matrix was built")
-
-    monkeypatch.setattr(svm, "gram", no_gram)
+    monkeypatch.setattr(svm, "gram", _no_gram)
     for rows, kw, text in ((X, {"tol": 0.0}, "tol must be > 0"),
                            (X, {"max_passes": 0}, "max_passes >= 1"),
                            (nan_X, {}, "must be finite")):
@@ -598,11 +598,92 @@ def test_solver_arguments_rejected_before_any_kernel(monkeypatch):
         assert "pair" not in str(ei.value)
 
 
-def test_grid_kind_mismatch_rejected():
+def test_grid_kind_mismatch_rejected(monkeypatch):
     X, y = _grid_data()
-    with pytest.raises(InvalidArgument):
-        grid_search(X, y, {"linear": [KernelSpec("rbf", 1.0, gamma=0.1)]},
-                    SplitSpec(0.8))
+    linear = [KernelSpec("linear", c) for c in (0.1, 1.0)]
+    rbf = [KernelSpec("rbf", 1.0, gamma=0.1)]
+    stray = KernelSpec("poly", 1.0, gamma=0.1, degree=2)
+    # the whole grid is checked before the first cell is fitted, wherever
+    # the stray spec sits
+    monkeypatch.setattr(svm, "gram", _no_gram)
+    for grids in ({"linear": [stray]},
+                  {"linear": [stray] + linear, "rbf": rbf},
+                  {"linear": [linear[0], stray, linear[1]], "rbf": rbf},
+                  {"linear": linear, "rbf": rbf + [stray]}):
+        with pytest.raises(InvalidArgument, match="contains a 'poly' spec"):
+            grid_search(X, y, grids, SplitSpec(0.8))
+
+
+def _grid_models(monkeypatch, X, y, grids, **kw):
+    """grid_search's cells, and the model it trained for each spec, taken
+    from its predict_batch calls."""
+    models, real = {}, svm.predict_batch
+
+    def capture(model, rows):
+        models[model.kernel] = model
+        return real(model, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svm, "predict_batch", capture)
+        cells = grid_search(X, y, grids, SplitSpec(0.8), **kw)
+    return cells, models
+
+
+@pytest.mark.parametrize("limit", [None, 29])
+def test_grid_cells_equal_solo_fits(monkeypatch, limit):
+    rng = np.random.default_rng(81)
+    # 6, 6, 24, 6, 6 training rows: with limit 29 the 30-row pairs of
+    # subject 2 run alone and uncached, and the 12-row pairs share groups,
+    # one of which joins the last pair of a cell to the first of the next
+    sizes = (7, 7, 30, 7, 7)
+    X = np.vstack([rng.standard_normal((n, 2)) * 1.2 + rng.uniform(-2.0, 2.0, 2)
+                   for n in sizes])
+    labels = np.repeat(np.arange(5), sizes)
+    grids = {
+        "linear": [KernelSpec("linear", c) for c in (0.1, 10.0)],
+        "poly": [KernelSpec("poly", 1.0, gamma=0.5, degree=2),
+                 KernelSpec("poly", 5.0, gamma=0.5, degree=3)],
+        "rbf": [KernelSpec("rbf", c, gamma=g)
+                for c, g in ((1.0, 0.5), (100.0, 0.5), (10.0, 2.0))],
+    }
+    train, test = split_rows(labels, SplitSpec(0.8))
+    if limit is not None:
+        monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", limit)
+        n = np.bincount(labels[train])
+        pair_rows = [n[a] + n[b] for a in range(5) for b in range(a + 1, 5)] * 7
+        groups = svm._cache_groups(pair_rows)
+        assert [g for g in groups if pair_rows[g[0]] > limit] == \
+            [[p] for p, rows in enumerate(pair_rows) if rows > limit] != []
+        assert any(g[0] // 10 != g[-1] // 10 for g in groups)
+    cells, models = _grid_models(monkeypatch, X, labels, grids, max_passes=5000)
+    assert len(cells) == len(models) == 7
+    for cell in cells:
+        solo = train_multiclass(X[train], labels[train], cell.spec, max_passes=5000)
+        got = models[cell.spec]
+        assert got.classes == solo.classes
+        assert np.array_equal(got.support_vectors, solo.support_vectors)
+        assert np.array_equal(got.dual_coef, solo.dual_coef), cell.spec.describe()
+        assert np.array_equal(got.bias, solo.bias), cell.spec.describe()
+        want = float(np.mean(predict_batch(solo, X[test]) == labels[test]))
+        assert cell.error is None and cell.accuracy == want
+
+
+def test_grid_failure_stays_in_its_cell(monkeypatch):
+    X, y = _grid_data(n_per=40)
+    train, test = split_rows(y, SplitSpec(0.8))
+    converges, fails = KernelSpec("linear", 1.0), KernelSpec("rbf", 100.0, gamma=0.5)
+    kw = {"tol": 1e-12, "max_passes": 1}
+    with pytest.raises(NonConvergence) as ei:
+        train_multiclass(X[train], y[train], fails, **kw)
+    solo = train_multiclass(X[train], y[train], converges, **kw)
+    cells, models = _grid_models(monkeypatch, X, y,
+                                 {"linear": [converges], "rbf": [fails]}, **kw)
+    good, bad = cells
+    assert bad.spec == fails and bad.accuracy is None
+    assert bad.error == str(ei.value)
+    assert good.spec == converges and good.error is None
+    assert good.accuracy == float(np.mean(predict_batch(solo, X[test]) == y[test]))
+    assert list(models) == [converges]
 
 
 def test_default_grids_cover_reference_settings():
