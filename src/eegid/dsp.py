@@ -3,9 +3,12 @@ simplified artifact subspace reconstruction, and overlapping windowing.
 
 A filter is a second-order-section (SOS) array of shape (sections, 6),
 one [b0, b1, b2, 1, a1, a2] row per biquad, as scipy.signal designs and
-runs it. Filters are causal (forward-only, zero initial state), matching a
-real-time acquisition pipeline; phase distortion is irrelevant to the
-amplitude and entropy features computed downstream. The chain order used
+runs it. scipy.signal is imported on the first filter design, run or
+response call, not with the package, so synthesis, training, evaluation
+and grid search on feature tables never load it. Filters are causal
+(forward-only, zero initial state), matching a real-time acquisition
+pipeline; phase distortion is irrelevant to the amplitude and entropy
+features computed downstream. The chain order used
 by the pipeline is notch, then bandpass, then ASR, then windowing, on
 whole recordings. Startup transients are not trimmed.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     ChannelMismatch,
@@ -59,6 +61,8 @@ def is_stable(sos) -> bool:
 
 def frequency_response(sos, freqs_hz, fs: float) -> np.ndarray:
     """Complex response at the given frequencies (Hz), product over sections."""
+    import scipy.signal
+
     freqs_hz = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
     return scipy.signal.sosfreqz(_checked_sos(sos), worN=freqs_hz, fs=fs)[1]
 
@@ -94,6 +98,8 @@ def design_butterworth_bandpass(order: int, f_lo: float, f_hi: float,
         raise FrequencyOutOfRange(
             f"band edges ({f_lo}, {f_hi}) must satisfy 0 < lo < hi < {fs / 2}"
         )
+    import scipy.signal
+
     return scipy.signal.butter(order // 2, [f_lo, f_hi], btype="bandpass",
                                fs=fs, output="sos")
 
@@ -104,6 +110,8 @@ def apply_filter(sos, r: Recording) -> Recording:
     `sos` is a (sections, 6) array of [b0, b1, b2, 1, a1, a2] rows, run in
     order; stack designs with np.vstack to run them as one cascade.
     """
+    import scipy.signal
+
     out = scipy.signal.sosfilt(_checked_sos(sos), r.data, axis=1)
     if not np.isfinite(out).all():
         raise NonFiniteOutput("filter output contains NaN/Inf (unstable filter?)")

@@ -261,7 +261,7 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
                 fh.write(f"# {key}={value}\n")
             fh.write("subject_id,start_index," + ",".join(names) + "\n")
             for sid, start, row in zip(labels, starts, X):
-                values = ",".join(repr(float(v)) for v in row)
+                values = ",".join(map(repr, row.tolist()))
                 fh.write(f"{sid},{start},{values}\n")
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e

@@ -382,7 +382,7 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
 # ---------------------------------------------------------------------------
 
 def _fmt_vector(v: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in v)
+    return " ".join(map(repr, v.tolist()))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -458,13 +458,24 @@ class _Reader:
             raise CorruptModel(f"expected {prefix!r}, found {line!r}")
         return line[len(prefix):].strip()
 
+    def vector(self, name: str) -> np.ndarray:
+        """A `name v1 v2 ...` line of finite numbers."""
+        return _finite(name, _parse_vector(self.expect(name)))
+
     def matrix(self, name: str) -> np.ndarray:
-        """A _matrix_lines block, checked against its header's shape."""
+        """A _matrix_lines block of finite numbers, checked against its
+        header's shape."""
         rows, cols = (int(tok) for tok in self.expect(name).split())
         M = np.array([_parse_vector(self.next()) for _ in range(rows)])
         if M.shape != (rows, cols):
             raise CorruptModel(f"{name} block is not {rows} x {cols}")
-        return M
+        return _finite(name, M)
+
+
+def _finite(name: str, a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise CorruptModel(f"{name} contains NaN/Inf")
+    return a
 
 
 def load_model(path) -> TrainedPipeline:
@@ -494,17 +505,22 @@ def load_model(path) -> TrainedPipeline:
         names = r.expect("feature_names")
         if names != ",".join(FEATURE_NAMES):
             raise VersionMismatch("feature name list differs from this build")
-        int(r.expect("n_channels"))
+        n_channels = int(r.expect("n_channels"))
         flags = flags_from_meta(r.section())
         r.expect("[standardizer]")
         standardizer = Standardizer(
-            mean=_parse_vector(r.expect("mean")),
-            std=_parse_vector(r.expect("std")),
+            mean=r.vector("mean"),
+            std=r.vector("std"),
         )
+        if standardizer.n_features != n_channels * N_FEATURES:
+            raise CorruptModel(
+                f"n_channels {n_channels} does not match the standardizer's "
+                f"{standardizer.n_features} features ({N_FEATURES} per channel)"
+            )
         r.expect("[pca]")
         target = float(r.expect("target_ratio"))
-        ev = _parse_vector(r.expect("explained_variance"))
-        ratio = _parse_vector(r.expect("explained_variance_ratio"))
+        ev = r.vector("explained_variance")
+        ratio = r.vector("explained_variance_ratio")
         pca = PcaModel(components=r.matrix("components"), explained_variance=ev,
                        explained_variance_ratio=ratio, target_ratio=target)
         r.expect("[svm]")
@@ -515,7 +531,7 @@ def load_model(path) -> TrainedPipeline:
         classes = tuple(int(tok) for tok in svm_meta["classes"].split())
         r.expect("[machines]")
         svm_model = MulticlassSvmModel(  # keywords in file order
-            classes=classes, bias=_parse_vector(r.expect("bias")),
+            classes=classes, bias=r.vector("bias"),
             support_vectors=r.matrix("vectors"),
             dual_coef=r.matrix("dual_coef"), kernel=kernel)
         r.expect("[end]")

@@ -160,7 +160,7 @@ def save_recording_csv(recording: Recording, path) -> None:
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for row in cols:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
 

@@ -1,5 +1,11 @@
 """Command-line interface: happy paths, wiring between stages, error exits."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -273,3 +279,44 @@ def test_train_rejects_subject_with_too_few_windows(world, tmp_path, capsys):
                "--kernel", "linear"])
     assert rc == 2
     assert "subject 1 has 4 windows" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: in this process other tests have already
+# imported scipy.signal. Prints which commands left it unloaded.
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+feat, tmp = sys.argv[1:]
+import eegid
+from eegid.cli import main
+seen = {"import": "scipy.signal" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    steps = [
+        ["synth", "--subjects", "2", "--duration", "6", "--out", tmp + "/ds"],
+        ["train", "--features", feat, "--model", tmp + "/m.txt",
+         "--kernel", "linear"],
+        ["evaluate", "--features", feat, "--model", tmp + "/m.txt"],
+        ["grid", "--features", feat, "--kernels", "linear"],
+    ]
+    codes = [main(argv) for argv in steps]
+    seen["synth/train/evaluate/grid"] = "scipy.signal" in sys.modules
+    codes.append(main(["identify", "--model", tmp + "/m.txt",
+                       "--in", tmp + "/ds/subject_0/rec_000.csv"]))
+    seen["identify"] = "scipy.signal" in sys.modules
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_only_filtering_commands_load_scipy_signal(world, tmp_path):
+    _, _, feat, _ = world
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(feat), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    seen = result["seen"]
+    assert not seen["import"]
+    assert not seen["synth/train/evaluate/grid"]
+    assert seen["identify"]  # positive control: identify filters

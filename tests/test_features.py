@@ -649,6 +649,14 @@ def test_feature_table_round_trip_across_blocks_is_bit_exact(tmp_path):
     assert meta2 == meta
 
 
+def test_feature_table_writes_shortest_exact_decimals(tmp_path):
+    row = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 1e16, -2.5e-05, 0.0, 0.0, 0.0]
+    path = tmp_path / "golden.csv"
+    save_feature_table(path, np.array([row]), [3], [40])
+    assert path.read_text().splitlines()[1] == (
+        "3,40,-0.0,5e-324,1e-300,0.1,3.0,1e+16,-2.5e-05,0.0,0.0,0.0")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_feature_table_refuses_non_finite_values(tmp_path, bad):
     X = np.ones((2, N_FEATURES))

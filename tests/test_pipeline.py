@@ -483,6 +483,53 @@ def test_load_model_rejects_bad_machines_block(tmp_path, small_world, change):
         load_model(path)
 
 
+def _poison(lines, block, value):
+    """Replace the first number of a model line, or of a matrix block's
+    first row, by `value`."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(block + " "))
+    is_matrix = block in ("components", "vectors", "dual_coef")
+    i += is_matrix
+    tokens = lines[i].split()
+    tokens[not is_matrix] = value
+    lines[i] = " ".join(tokens) + "\n"
+    return lines
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block", [
+    "mean", "std", "explained_variance", "explained_variance_ratio",
+    "components", "bias", "vectors", "dual_coef"])
+def test_load_model_refuses_non_finite_numbers(tmp_path, small_world, block, value):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: _poison(lines, block, value))
+    with pytest.raises(CorruptModel, match=f"^{block} contains NaN/Inf"):
+        load_model(path)
+
+
+def test_load_model_refuses_n_channels_that_disagree_with_features(tmp_path, small_world):
+    model = small_world[4]
+    assert (model.n_channels, model.standardizer.n_features) == (8, 80)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    _rewrite_payload(path, lambda lines: [
+        "n_channels 5\n" if ln == "n_channels 8\n" else ln for ln in lines])
+    with pytest.raises(CorruptModel, match="n_channels 5 .* 80 features"):
+        load_model(path)
+
+
+def test_model_file_writes_shortest_exact_decimals(tmp_path, small_world):
+    model = small_world[4]
+    mean = np.zeros(model.standardizer.n_features)
+    mean[:7] = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 1e16, -2.5e-05]
+    standardizer = dataclasses.replace(model.standardizer, mean=mean)
+    path = tmp_path / "model.txt"
+    save_model(dataclasses.replace(model, standardizer=standardizer), path)
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("mean "))
+    assert line == ("mean -0.0 5e-324 1e-300 0.1 3.0 1e+16 -2.5e-05"
+                    + " 0.0" * (mean.size - 7))
+
+
 @pytest.mark.parametrize("spec, lines", [
     (KernelSpec("rbf", c=100.0, gamma=0.01),
      ["kind rbf", "c 100.0", "gamma 0.01", "degree -", "coef0 0.0"]),

@@ -132,6 +132,14 @@ def test_single_sample_recording_round_trips(tmp_path):
     assert np.array_equal(load_recording_csv(p, fs=100.0).data, [[3.25]])
 
 
+def test_recording_csv_writes_shortest_exact_decimals(tmp_path):
+    values = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 1e16, -2.5e-05]
+    rec = Recording(channels=tuple("ABCDEFG"), fs=250.0, data=np.array([values]).T)
+    p = tmp_path / "golden.csv"
+    save_recording_csv(rec, p)
+    assert p.read_text().splitlines()[1] == "-0.0,5e-324,1e-300,0.1,3.0,1e+16,-2.5e-05"
+
+
 def test_degenerate_recordings_rejected():
     with pytest.raises(InvalidRecording):
         Recording(channels=(), fs=250.0, data=np.empty((0, 5)))
