@@ -214,8 +214,14 @@ def _print_report(rep: pipeline.EvalReport) -> None:
 def cmd_evaluate(args) -> int:
     X, y, meta, split, _, test_idx = _load_split_features(args)
     model = pipeline.load_model(args.model)
-    pipeline.check_sampling_rate(model, pipeline.flags_from_meta(meta).fs,
-                                 "features")
+    flags = pipeline.flags_from_meta(meta)
+    pipeline.check_sampling_rate(model, flags.fs, "features")
+    made, trained = pipeline.flags_to_meta(flags), pipeline.flags_to_meta(model.flags)
+    differ = [key for key in trained if made[key] != trained[key]]
+    if differ:
+        made, trained = (", ".join(f"{key}={m[key]}" for key in differ) for m in (made, trained))
+        raise InvalidArgument(f"[preprocess] features made with {made}, "
+                              f"model trained with {trained}")
     rep = pipeline.evaluate_features(model, X[test_idx], y[test_idx],
                                      split_description=split.describe())
     _print_report(rep)

@@ -14,13 +14,15 @@ dataclass-fields codec (`flags_to_meta`/`flags_from_meta`).
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
-and reload bit-exactly. Format v2 holds the one-vs-one machines in one
-[machines] block (pair biases, shared support vectors, pair x vector
-coefficients); a v1 file, one [pair a b] section per machine, is refused.
+and reload bit-exactly; ``np.loadtxt`` converts each matrix block. Format
+v2 holds the one-vs-one machines in one [machines] block (pair biases,
+shared support vectors, pair x vector coefficients); a v1 file, one
+[pair a b] section per machine, is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -40,7 +42,6 @@ from .errors import (
     InvalidArgument,
     IoFailure,
     MissingFile,
-    NonConvergence,
     NonFiniteInput,
     UnknownLabel,
     VersionMismatch,
@@ -82,6 +83,12 @@ class PreprocessFlags:
     win_s: float = dsp.WINDOW_S
     hop_s: float = dsp.HOP_S
     fs: float = DEFAULT_FS
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidArgument(f"PreprocessFlags {f.name} must be finite, got {value}")
 
 
 def flags_to_meta(flags: PreprocessFlags) -> dict[str, str]:
@@ -155,10 +162,8 @@ def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags(
     filtered = dsp.apply_filter(_filter_cascade(flags, r.fs), r)
     if not flags.asr:
         return filtered
-    try:
+    with _stage("asr"):
         model = dsp.asr_calibrate(filtered, k=flags.asr_k, win_s=flags.asr_win_s)
-    except EegIdError as e:
-        raise _stage("asr", e) from e
     return dsp.asr_clean(model, filtered)
 
 
@@ -215,13 +220,15 @@ class TrainedPipeline:
         return pca_transform(self.pca, self.standardizer, X)
 
 
-def _stage(tag: str, exc: EegIdError) -> EegIdError:
-    if isinstance(exc, NonConvergence):
-        return NonConvergence(f"[{tag}] {exc}", kkt_violation=exc.kkt_violation)
+@contextlib.contextmanager
+def _stage(tag: str):
+    """Prefix `[tag] ` to the message of an EegIdError raised inside; the
+    error keeps its type, attributes and traceback."""
     try:
-        return type(exc)(f"[{tag}] {exc}")
-    except TypeError:  # multi-field error types keep their original message
-        return exc
+        yield
+    except EegIdError as e:
+        e.args = (f"[{tag}] {e}",)
+        raise
 
 
 def fit_from_features(X, y, kernel: KernelSpec, pca_target: float = 0.95,
@@ -235,19 +242,13 @@ def fit_from_features(X, y, kernel: KernelSpec, pca_target: float = 0.95,
     """
     if np.unique(y).size < 2:
         raise InvalidArgument("[split] training windows cover fewer than 2 subjects")
-    try:
+    with _stage("standardize"):
         standardizer = fit_standardizer(X)
         Z = standardizer.transform(X)
-    except EegIdError as e:
-        raise _stage("standardize", e) from e
-    try:
+    with _stage("pca"):
         pca = fit_pca(Z, pca_target)
-    except EegIdError as e:
-        raise _stage("pca", e) from e
-    try:
+    with _stage("svm"):
         svm_model = train_multiclass(Z @ pca.components.T, y, kernel, tol, max_passes)
-    except EegIdError as e:
-        raise _stage("svm", e) from e
     return TrainedPipeline(standardizer=standardizer, pca=pca, svm=svm_model,
                            flags=flags)
 
@@ -258,10 +259,8 @@ def fit_pipeline(train_windows, kernel: KernelSpec, pca_target: float = 0.95,
     """Fit every stage on training windows only; the model records the
     windows' sampling rate as flags.fs."""
     train_windows = list(train_windows)
-    try:
+    with _stage("features"):
         X, y, _ = extract_feature_matrix(train_windows)
-    except EegIdError as e:
-        raise _stage("features", e) from e
     flags = dataclasses.replace(flags, fs=float(train_windows[0].fs))
     return fit_from_features(X, y, kernel, pca_target, tol, max_passes, flags)
 
@@ -298,6 +297,12 @@ def evaluate(p: TrainedPipeline, test_windows,
     if not test_windows:
         raise EmptyDataset("no test windows")
     check_sampling_rate(p, test_windows[0].fs, "windows")
+    width = round(p.flags.win_s * p.flags.fs)
+    if test_windows[0].data.shape[1] != width:
+        raise InvalidArgument(
+            f"[window] windows are {test_windows[0].data.shape[1]} samples wide, "
+            f"model trained on {width} ({p.flags.win_s:g} s at {p.flags.fs:g} Hz)"
+        )
     X, y, _ = extract_feature_matrix(test_windows)
     return evaluate_features(p, X, y, split_description)
 
@@ -360,10 +365,8 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
         )
     check_sampling_rate(p, r.fs, "recording")
     cleaned = preprocess_recording(r, p.flags)
-    try:
+    with _stage("window"):
         windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
-    except EegIdError as e:
-        raise _stage("window", e) from e
     X, _, _ = extract_feature_matrix(windows)
     preds = predict_batch(p.svm, p.transform(X))
     counts = {c: int(np.sum(preds == c)) for c in p.svm.classes}
@@ -383,10 +386,6 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
 
 def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(map(repr, v.tolist()))
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()]) if text.strip() else np.array([])
 
 
 def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
@@ -460,14 +459,17 @@ class _Reader:
 
     def vector(self, name: str) -> np.ndarray:
         """A `name v1 v2 ...` line of finite numbers."""
-        return _finite(name, _parse_vector(self.expect(name)))
+        return _finite(name, np.array([float(tok) for tok in self.expect(name).split()]))
 
     def matrix(self, name: str) -> np.ndarray:
         """A _matrix_lines block of finite numbers, checked against its
         header's shape."""
         rows, cols = (int(tok) for tok in self.expect(name).split())
-        M = np.array([_parse_vector(self.next()) for _ in range(rows)])
-        if M.shape != (rows, cols):
+        lines = [self.next() for _ in range(rows)]
+        # loadtxt skips blank lines, and warns when it skips every line
+        M = (np.loadtxt(lines, comments=None, ndmin=2)
+             if lines and lines[0].strip() else None)
+        if M is None or M.shape != (rows, cols):
             raise CorruptModel(f"{name} block is not {rows} x {cols}")
         return _finite(name, M)
 

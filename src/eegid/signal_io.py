@@ -8,9 +8,11 @@ The CSV carries no sampling rate; that lives in the dataset sidecar
 ``meta.txt`` (``key=value`` lines: ``fs``, ``channels``, ``generator``,
 ``seed``) next to the ``subject_<k>/`` directories.
 
-Recording CSVs and feature tables (``features.py``) share one body parser
+Recording CSVs and feature tables (``features.py``) share one body reader
 and its rules: one cell per header column, each a finite number, and no
-blank lines (a blank line is a row of one empty cell). A bad cell raises
+blank lines (a blank line is a row of one empty cell). ``np.loadtxt``
+converts the body; a cell-by-cell parser reads a body that breaks the
+rules only to name the first bad cell. A bad cell raises
 ``NonNumericSample(row, col)``, a bad row ``RaggedRows``; rows are numbered
 from 0 at the first line after the header.
 
@@ -20,7 +22,7 @@ share across threads.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -146,9 +148,6 @@ class SynthProfile:
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "ch:"
-# rows read and converted per np.array call; bounds the text and the cell
-# strings held at once
-_BLOCK_ROWS = 1024
 
 
 def save_recording_csv(recording: Recording, path) -> None:
@@ -189,37 +188,30 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
 
 
 def _read_body(path, fh, n_cols: int) -> np.ndarray:
-    """The CSV body left in fh as a (rows, n_cols) array. Rows are read
-    _BLOCK_ROWS at a time and each block is converted in one array call;
-    only a block that fails it is parsed cell by cell, to raise for the
-    first bad row and column (row 0 is the first body line)."""
-    blocks = [np.empty((0, n_cols))]
-    row = 0
-    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-        blocks.append(_parse_block(path, lines, n_cols, row))
-        row += len(lines)
-    return np.concatenate(blocks)
-
-
-def _parse_block(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray:
-    """File lines (newlines kept) as a (rows, n_ch) array."""
-    text = "".join(lines)
-    cells = text.removesuffix("\n").replace("\n", ",").split(",")
-    try:
-        data = np.array(cells, dtype=float).reshape(len(lines), n_ch)
-    except ValueError:  # a cell float() rejects, or cells that do not fill the rows
-        data = None
-    if (data is None or any(line.count(",") != n_ch - 1 for line in lines)
-            or not np.isfinite(data).all()):
-        data = _parse_rows(path, lines, n_ch, first_row)
+    """The CSV body left in fh as a (rows, n_cols) array. np.loadtxt
+    converts it, streamed after a pass that counts the lines, and its
+    result stands if it holds n_cols finite values per line (loadtxt skips
+    empty lines). Otherwise _parse_rows rereads the body cell by cell to
+    name the first bad row and column (row 0 is the first body line)."""
+    start = fh.tell()
+    first = fh.readline()
+    n_rows = bool(first) + sum(1 for _ in fh)
+    fh.seek(start)
+    data = None
+    if first.strip():  # loadtxt warns when it skips every line
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data is None or data.shape != (n_rows, n_cols) or not np.isfinite(data).all():
+        fh.seek(start)
+        data = _parse_rows(path, list(fh), n_cols)
     return data
 
 
-def _parse_rows(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray:
+def _parse_rows(path, lines: list[str], n_ch: int) -> np.ndarray:
     """Cell-by-cell parse that raises RaggedRows or NonNumericSample for
     the first bad row in file order."""
     rows = np.empty((len(lines), n_ch))
-    for i, line in enumerate(lines, start=first_row):
+    for i, line in enumerate(lines):
         cells = line.rstrip("\n").split(",")
         if len(cells) != n_ch:
             raise RaggedRows(
@@ -232,7 +224,7 @@ def _parse_rows(path, lines: list[str], n_ch: int, first_row: int) -> np.ndarray
                 raise NonNumericSample(i, j, cell) from None
             if not np.isfinite(v):
                 raise NonNumericSample(i, j, cell)
-            rows[i - first_row, j] = v
+            rows[i, j] = v
     return rows
 
 

@@ -76,6 +76,8 @@ class KernelSpec:
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
         if not (np.isfinite(self.c) and self.c > 0):
             raise InvalidArgument(f"C must be > 0, got {self.c}")
+        if not np.isfinite(self.coef0):
+            raise InvalidArgument(f"coef0 must be finite, got {self.coef0}")
         if kind in ("poly", "rbf"):
             if self.gamma is None or not (np.isfinite(self.gamma) and self.gamma > 0):
                 raise InvalidArgument(f"{kind} kernel needs gamma > 0, got {self.gamma}")
@@ -112,15 +114,6 @@ def _rbf(gamma: float, a_sq: np.ndarray, b_sq: np.ndarray,
     """exp(-gamma |a - b|^2) from the row norms of A and B and A @ B.T."""
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
     return np.exp(-gamma * np.clip(sq, 0.0, None))
-
-
-def kernel_eval(k: KernelSpec, x, y) -> float:
-    """Scalar kernel value for two vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"vector shapes {x.shape} vs {y.shape}")
-    return float(gram(k, x[None, :], y[None, :])[0, 0])
 
 
 def dual_objective(k: KernelSpec, X: np.ndarray, y: np.ndarray,

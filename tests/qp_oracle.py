@@ -11,9 +11,24 @@ the sorted breakpoints of the piecewise-linear multiplier equation.
 
 `scalar_wss2`: the SMO trajectory reference, one scalar pair update at a
 time. Both share no code with the SMO implementation under test.
+
+`kernel_eval`: one kernel value for two vectors through `svm.gram`, for
+checking the kernels on hand-computed examples.
 """
 
 import numpy as np
+
+from eegid.errors import DimensionMismatch
+from eegid.svm import KernelSpec, gram
+
+
+def kernel_eval(k: KernelSpec, x, y) -> float:
+    """Scalar kernel value for two vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionMismatch(f"vector shapes {x.shape} vs {y.shape}")
+    return float(gram(k, x[None, :], y[None, :])[0, 0])
 
 
 def project_feasible(v: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

@@ -210,6 +210,31 @@ def test_evaluate_rejects_features_of_other_sampling_rate(world, tmp_path, capsy
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("header, message", [
+    ({"win_s": "2.0", "hop_s": "1.0"},
+     "features made with win_s=2.0, hop_s=1.0, model trained with win_s=0.8, hop_s=0.4"),
+    ({"notch_q": "5.0", "asr": "0"},
+     "features made with notch_q=5.0, asr=0, model trained with notch_q=30.0, asr=1"),
+], ids=["window", "filters"])
+def test_evaluate_rejects_features_of_other_preprocessing(world, tmp_path, capsys,
+                                                          header, message):
+    _, _, feat, model = world
+    X, y, starts, meta = load_feature_table(feat)
+    relabelled = tmp_path / "features_other.csv"
+    save_feature_table(relabelled, X, y, starts, meta={**meta, **header})
+    rc = main(["evaluate", "--features", str(relabelled), "--model", str(model)])
+    assert rc == 2
+    assert f"[preprocess] {message}" in capsys.readouterr().err
+
+
+def test_extract_refuses_non_finite_flag(world, tmp_path, capsys):
+    _, ds_dir, _, _ = world
+    rc = main(["extract", "--in", str(ds_dir), "--out", str(tmp_path / "f.csv"),
+               "--asr-k", "nan"])
+    assert rc == 2
+    assert "PreprocessFlags asr_k must be finite, got nan" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_table_with_nan_cell(world, tmp_path, capsys):
     _, _, feat, model = world
     lines = feat.read_text().splitlines(keepends=True)

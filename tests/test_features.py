@@ -595,6 +595,8 @@ _BAD_TABLES = {
                  NonNumericSample, (0, 3)),
     "inf cell": (_TABLE_HEAD + _table_row() + _table_row(cell=(11, "inf")),
                  NonNumericSample, (1, 11)),
+    "comment sign": (_TABLE_HEAD + _table_row() + _table_row(cell=(4, "#1")),
+                     NonNumericSample, (1, 4)),
     "blank line": (_TABLE_HEAD + _table_row() + "\n" + _table_row(),
                    RaggedRows, (1, None)),
     "fractional label": (_TABLE_HEAD + _table_row() + _table_row(sid="1.5"),
@@ -633,7 +635,7 @@ def test_load_feature_table_accepts_the_well_formed_table(tmp_path):
 
 
 def test_feature_table_round_trip_across_blocks_is_bit_exact(tmp_path):
-    # more rows than the CSV reader converts per block (1024)
+    # 1,500 rows of shortest-repr values across the whole double range
     rng = np.random.default_rng(46)
     n = 1500
     X = rng.standard_normal((n, 2 * N_FEATURES)) * 10.0 ** rng.integers(-300, 300, (n, 1))

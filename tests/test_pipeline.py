@@ -208,6 +208,15 @@ def test_evaluate_rejects_unknown_label(small_world):
         evaluate(model, test + [rogue])
 
 
+def test_evaluate_rejects_windows_of_other_width(small_world):
+    _, _, _, test, model = small_world
+    narrow = [dataclasses.replace(w, data=w.data[:, :100]) for w in test]
+    with pytest.raises(InvalidArgument,
+                       match=r"^\[window\] windows are 100 samples wide, model "
+                             r"trained on 200 \(0.8 s at 250 Hz\)"):
+        evaluate(model, narrow)
+
+
 def test_evaluate_rejects_empty(small_world):
     model = small_world[4]
     with pytest.raises(EmptyDataset):
@@ -466,6 +475,8 @@ def _edit_machines(lines, change):
         del lines[dual + 1]
     elif change == "one bias too few":
         lines[bias] = lines[bias].rsplit(" ", 1)[0] + "\n"
+    elif change == "comment in a coefficient row":
+        lines[dual + 1] = lines[dual + 1].rstrip("\n") + " # x\n"
     else:  # a coefficient above C = 100
         lines[dual + 1] = "200.0 " + lines[dual + 1].split(" ", 1)[1]
     return lines
@@ -473,7 +484,7 @@ def _edit_machines(lines, change):
 
 @pytest.mark.parametrize("change", [
     "coefficient row missing", "coefficient row and its header count missing",
-    "one bias too few", "coefficient above C"])
+    "one bias too few", "comment in a coefficient row", "coefficient above C"])
 def test_load_model_rejects_bad_machines_block(tmp_path, small_world, change):
     path = tmp_path / "model.txt"
     save_model(small_world[4], path)
@@ -505,6 +516,26 @@ def test_load_model_refuses_non_finite_numbers(tmp_path, small_world, block, val
     _rewrite_payload(path, lambda lines: _poison(lines, block, value))
     with pytest.raises(CorruptModel, match=f"^{block} contains NaN/Inf"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fs", "nan"), ("notch_f0", "inf"), ("notch_q", "inf"), ("bp_lo", "nan"),
+    ("bp_hi", "inf"), ("asr_k", "nan"), ("asr_win_s", "inf"), ("win_s", "nan"),
+    ("hop_s", "nan"), ("coef0", "nan")])
+def test_load_model_refuses_non_finite_settings(tmp_path, small_world, key, value):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: [
+        f"{key} {value}\n" if ln.startswith(key + " ") else ln for ln in lines])
+    with pytest.raises(CorruptModel, match=f"{key} must be finite, got {value}"):
+        load_model(path)
+
+
+def test_settings_must_be_finite():
+    with pytest.raises(InvalidArgument, match="PreprocessFlags notch_q must be finite"):
+        PreprocessFlags(notch_q=float("inf"))
+    with pytest.raises(InvalidArgument, match="coef0 must be finite"):
+        KernelSpec("poly", 1.0, gamma=0.1, degree=2, coef0=float("nan"))
 
 
 def test_load_model_refuses_n_channels_that_disagree_with_features(tmp_path, small_world):

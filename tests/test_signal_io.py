@@ -1,5 +1,7 @@
 """Recording CSV round trips, dataset layout, and synthetic generation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,38 @@ def test_rows_that_compensate_in_cell_count_still_ragged(tmp_path):
     p.write_text("ch:A,ch:B\n1,2,3\n4\n")  # 4 cells, 2 rows, 2 channels
     with pytest.raises(RaggedRows, match="row 0 has 3 cells"):
         load_recording_csv(p)
+
+
+# body text, then the error and its message ({path} is the file), or the
+# channel rows it loads as
+_BODY_RULES = {
+    "blank lines only": ("\n\n\n", RaggedRows, "{path}: row 0 has 1 cells, expected 2"),
+    "whitespace-only line": ("1,2\n  \n3,4\n", RaggedRows,
+                             "{path}: row 1 has 1 cells, expected 2"),
+    "comment sign first": ("#1,2\n", NonNumericSample,
+                           "non-numeric sample at row 0, col 0: '#1'"),
+    "comment sign inside": ("1,2#3\n", NonNumericSample,
+                            "non-numeric sample at row 0, col 1: '2#3'"),
+    "quoted cell": ('"1",2\n', NonNumericSample,
+                    "non-numeric sample at row 0, col 0: '\"1\"'"),
+    "trailing comma": ("1,2,\n", RaggedRows, "{path}: row 0 has 3 cells, expected 2"),
+    "digit separator": ("1_0,2\n", None, [[10.0], [2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BODY_RULES))
+def test_body_rules_hold_without_warnings(tmp_path, case):
+    body, error, expected = _BODY_RULES[case]
+    p = tmp_path / "r.csv"
+    p.write_text("ch:A,ch:B\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert load_recording_csv(p).data.tolist() == expected
+            return
+        with pytest.raises(error) as ei:
+            load_recording_csv(p)
+    assert str(ei.value) == expected.format(path=p)
 
 
 def test_missing_file_and_bad_header(tmp_path):

@@ -22,7 +22,6 @@ from eegid.svm import (
     dual_objective,
     gram,
     grid_search,
-    kernel_eval,
     max_kkt_violation,
     predict,
     predict_batch,
@@ -30,7 +29,7 @@ from eegid.svm import (
     train_binary_smo,
     train_multiclass,
 )
-from qp_oracle import reference_dual_objective, scalar_wss2, solve_dual_reference
+from qp_oracle import kernel_eval, reference_dual_objective, scalar_wss2, solve_dual_reference
 
 
 def _blobs(rng, centers, n_per, spread=0.5):
