@@ -14,8 +14,8 @@ The preprocessing flags and window geometry of `extract` travel in the
 features CSV header into the model, and `identify` windows with them.
 `train`/`evaluate`/`grid` split rows with `svm.split_rows`, as the library does.
 
-Every subcommand accepts --seed where randomness is involved. Errors exit
-nonzero with a one-line stage-tagged message on stderr.
+Only `synth` and `--split random` are random, and both take --seed. Errors
+exit nonzero with a one-line stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -77,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fs", type=float, default=signal_io.DEFAULT_FS)
     sp.add_argument("--out", required=True, help="dataset directory to create")
 
-    sp = sub.add_parser("preprocess", parents=[common],
-                        help="filter and clean a dataset into a new directory")
+    sp = sub.add_parser("preprocess", help="filter and clean a dataset into a new directory")
     sp.add_argument("--in", dest="inp", required=True)
     sp.add_argument("--out", required=True)
     _flag_options(sp)
 
-    sp = sub.add_parser("extract", parents=[common],
-                        help="preprocess, window, and extract features")
+    sp = sub.add_parser("extract", help="preprocess, window, and extract features")
     sp.add_argument("--in", dest="inp", required=True, help="dataset directory")
     sp.add_argument("--out", required=True, help="features CSV to write")
     sp.add_argument("--window", type=float, default=dsp.WINDOW_S,
@@ -122,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=svm.DEFAULT_TOL)
     sp.add_argument("--max-passes", type=int, default=svm.DEFAULT_MAX_PASSES)
 
-    sp = sub.add_parser("identify", parents=[common],
-                        help="identify the subject of one recording CSV")
+    sp = sub.add_parser("identify", help="identify the subject of one recording CSV")
     sp.add_argument("--model", required=True)
     sp.add_argument("--in", dest="inp", required=True, help="recording CSV")
     sp.add_argument("--fs", type=float, default=signal_io.DEFAULT_FS,

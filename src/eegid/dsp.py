@@ -10,7 +10,9 @@ and grid search on feature tables never load it. Filters are causal
 pipeline; phase distortion is irrelevant to the amplitude and entropy
 features computed downstream. The chain order used
 by the pipeline is notch, then bandpass, then ASR, then windowing, on
-whole recordings. Startup transients are not trimmed.
+whole recordings. Startup transients are not trimmed. One strided
+(windows, channels, width) view of a recording cuts every window: the
+ASR calibration windows, the ASR cleaning windows and the analysis windows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     TooShortForCalibration,
     UnsupportedOrder,
 )
+from .reduction import _principal_axes
 from .signal_io import Recording
 
 DEFAULT_NOTCH_Q = 30.0  # ~2 Hz wide at 60 Hz; powerline-notch sharpness
@@ -156,23 +159,12 @@ class AsrModel:
         return self.mixing.shape[0]
 
 
-def _window_rms(data: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping windows: (windows array (n, C, W), per-channel RMS (n, C))."""
-    n_ch, n = data.shape
-    n_win = n // width
-    wins = data[:, : n_win * width].reshape(n_ch, n_win, width).transpose(1, 0, 2)
-    rms = np.sqrt(np.mean(wins ** 2, axis=2))
-    return wins, rms
-
-
-def _orient_columns(vecs: np.ndarray) -> np.ndarray:
-    """Fix eigenvector signs: largest-magnitude entry of each column positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = np.argmax(np.abs(out[:, j]))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+def _frames(data: np.ndarray, width: int, hop: int) -> np.ndarray:
+    """Read-only (windows, channels, width) view of channels x samples data:
+    window i starts at sample i * hop, and a trailing partial window is
+    dropped."""
+    views = np.lib.stride_tricks.sliding_window_view(data, width, axis=1)
+    return views[:, ::hop].transpose(1, 0, 2)
 
 
 def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
@@ -195,7 +187,8 @@ def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
             f"({10 * width} samples, 10 windows), got {reference.n_samples}"
         )
     n_ch = reference.data.shape[0]
-    wins, rms = _window_rms(reference.data, width)
+    wins = _frames(reference.data, width, width)
+    rms = np.sqrt(np.mean(wins ** 2, axis=2))
     p75 = np.percentile(rms, 75, axis=0)
     clean = np.all(rms <= p75, axis=1)
     if not clean.any():  # pathological montages only; fall back to everything
@@ -207,11 +200,9 @@ def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
         )
     centered = samples - samples.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / (samples.shape[1] - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 0 or evals[0] <= evals[-1] * 1e-10:
+    evals, mixing = _principal_axes(cov)
+    if evals[0] <= 0 or evals[-1] <= evals[0] * 1e-10:
         raise RankDeficientCovariance("calibration covariance is rank deficient")
-    order = np.argsort(evals)[::-1]
-    mixing = _orient_columns(evecs[:, order])
     # component-projected RMS over every calibration window
     comp = np.einsum("ck,wcs->wks", mixing, wins)  # (n_win, C, W), rows = components
     comp_rms = np.sqrt(np.mean(comp ** 2, axis=2))
@@ -220,13 +211,13 @@ def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
 
 
 def asr_clean(m: AsrModel, r: Recording) -> Recording:
-    """Attenuate artifact components window-by-window and cross-fade.
+    """Attenuate artifact components window by window and cross-fade.
 
     Sliding windows (model window length, 50% overlap) are projected into
     the component space; any component whose windowed RMS exceeds its
-    threshold is scaled down to the threshold level. Windows are
-    reconstructed and blended with a raised-cosine overlap-add
-    (weight-normalized); samples no window covers pass through unchanged.
+    threshold is scaled down to the threshold level, and only those windows
+    are rebuilt. A raised-cosine overlap-add (weight-normalized) sums each
+    sample's windows in window order; samples no window covers pass through.
     """
     if r.data.shape[0] != m.n_channels:
         raise ChannelMismatch(
@@ -236,25 +227,25 @@ def asr_clean(m: AsrModel, r: Recording) -> Recording:
     n = r.n_samples
     if n < width or width < 2:
         return Recording(channels=r.channels, fs=r.fs, data=r.data.copy())
-    hop = max(1, width // 2)
+    hop = width // 2
+    frames = _frames(r.data, width, hop)
     taper = np.hanning(width)
-    acc = np.zeros_like(r.data)
-    weight = np.zeros(n)
     v = m.mixing
-    for start in range(0, n - width + 1, hop):
-        seg = r.data[:, start:start + width]
-        comp = v.T @ seg
-        rms = np.sqrt(np.mean(comp ** 2, axis=1))
-        over = rms > m.thresholds
-        if over.any():
-            comp = comp.copy()
-            comp[over] *= (m.thresholds[over] / rms[over])[:, None]
-            seg = v @ comp
-        acc[:, start:start + width] += taper * seg
-        weight[start:start + width] += taper
+    buf = v.T @ frames  # (windows, components, width)
+    rms = np.sqrt(np.mean(np.square(buf, out=buf), axis=2))
+    over = rms > m.thresholds
+    rebuilt = np.flatnonzero(over.any(axis=1))
+    np.multiply(taper, frames, out=buf)
+    scale = np.where(over, m.thresholds / np.where(over, rms, 1.0), 1.0)[rebuilt, :, None]
+    buf[rebuilt] = taper * (v @ (scale * (v.T @ frames[rebuilt])))
+    # overlap-add per channel: bincount sums each sample's windows in window
+    # order, starting from 0, as a loop over the windows would
+    at = (hop * np.arange(len(frames))[:, None] + np.arange(width)).ravel()
+    weight = np.bincount(at, np.tile(taper, len(frames)), n)
+    out = np.stack([np.bincount(at, b.ravel(), n) for b in buf.transpose(1, 0, 2)])
     covered = weight > 1e-12
-    out = r.data.copy()
-    out[:, covered] = acc[:, covered] / weight[covered]
+    out /= np.where(covered, weight, 1.0)
+    out[:, ~covered] = r.data[:, ~covered]
     return Recording(channels=r.channels, fs=r.fs, data=out)
 
 
@@ -298,9 +289,7 @@ def segment_windows(r: Recording, subject_id: int, win_s: float = WINDOW_S,
     if n < width:
         raise RecordingTooShort(f"need >= {width / r.fs:g} s at {r.fs:g} Hz "
                                 f"({width} samples, one window), got {n}")
-    views = np.lib.stride_tricks.sliding_window_view(r.data, width, axis=1)
     return [
-        Window(data=views[:, start], subject_id=subject_id,
-               start_index=start, fs=r.fs)
-        for start in range(0, n - width + 1, hop)
+        Window(data=frame, subject_id=subject_id, start_index=i * hop, fs=r.fs)
+        for i, frame in enumerate(_frames(r.data, width, hop))
     ]

@@ -257,11 +257,12 @@ def fit_pipeline(train_windows, kernel: KernelSpec, pca_target: float = 0.95,
                  tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES,
                  flags: PreprocessFlags = PreprocessFlags()) -> TrainedPipeline:
     """Fit every stage on training windows only; the model records the
-    windows' sampling rate as flags.fs."""
+    windows' sampling rate as flags.fs, and flags.win_s must match their width."""
     train_windows = list(train_windows)
     with _stage("features"):
         X, y, _ = extract_feature_matrix(train_windows)
     flags = dataclasses.replace(flags, fs=float(train_windows[0].fs))
+    _check_width(flags, train_windows)
     return fit_from_features(X, y, kernel, pca_target, tol, max_passes, flags)
 
 
@@ -291,18 +292,23 @@ def check_sampling_rate(p: TrainedPipeline, fs: float, what: str) -> None:
         )
 
 
+def _check_width(flags: PreprocessFlags, windows) -> None:
+    """Raise a [window] error unless the windows are round(win_s * fs) wide."""
+    width = round(flags.win_s * flags.fs)
+    if windows[0].data.shape[1] != width:
+        raise InvalidArgument(
+            f"[window] windows are {windows[0].data.shape[1]} samples wide, "
+            f"model trained on {width} ({flags.win_s:g} s at {flags.fs:g} Hz)"
+        )
+
+
 def evaluate(p: TrainedPipeline, test_windows,
              split_description: str = "") -> EvalReport:
     """Predict every test window and tally the confusion matrix."""
     if not test_windows:
         raise EmptyDataset("no test windows")
     check_sampling_rate(p, test_windows[0].fs, "windows")
-    width = round(p.flags.win_s * p.flags.fs)
-    if test_windows[0].data.shape[1] != width:
-        raise InvalidArgument(
-            f"[window] windows are {test_windows[0].data.shape[1]} samples wide, "
-            f"model trained on {width} ({p.flags.win_s:g} s at {p.flags.fs:g} Hz)"
-        )
+    _check_width(p.flags, test_windows)
     X, y, _ = extract_feature_matrix(test_windows)
     return evaluate_features(p, X, y, split_description)
 
@@ -321,7 +327,9 @@ def evaluate_features(p: TrainedPipeline, X, y,
     unknown = sorted(set(int(v) for v in np.unique(y)) - set(classes))
     if unknown:
         raise UnknownLabel(f"test labels {unknown} never seen in training")
-    preds = predict_batch(p.svm, p.transform(X))
+    with _stage("features"):
+        Z = p.transform(X)
+    preds = predict_batch(p.svm, Z)
     index = {c: i for i, c in enumerate(classes)}
     k = len(classes)
     confusion = np.zeros((k, k), dtype=int)
@@ -361,7 +369,8 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
     """
     if r.data.shape[0] != p.n_channels:
         raise ChannelMismatch(
-            f"recording has {r.data.shape[0]} channels, model expects {p.n_channels}"
+            f"[preprocess] recording has {r.data.shape[0]} channels, "
+            f"model expects {p.n_channels}"
         )
     check_sampling_rate(p, r.fs, "recording")
     cleaned = preprocess_recording(r, p.flags)

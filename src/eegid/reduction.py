@@ -88,6 +88,15 @@ class PcaModel:
         return self.components.shape[1]
 
 
+def _principal_axes(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix, descending, and unit eigenvector
+    columns, each signed so that its largest-magnitude entry is positive."""
+    evals, evecs = np.linalg.eigh(cov)
+    evecs = evecs[:, ::-1]
+    peak = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    return evals[::-1], evecs * np.where(peak < 0, -1.0, 1.0)
+
+
 def fit_standardizer(X: np.ndarray) -> Standardizer:
     """Column means and population stds; flat columns get the epsilon floor."""
     X = np.asarray(X, dtype=float)
@@ -114,9 +123,8 @@ def fit_pca(Z: np.ndarray, target_ratio: float = 0.95) -> PcaModel:
         raise InvalidArgument("target_ratio must lie in (0, 1]")
     centered = Z - Z.mean(axis=0)
     cov = centered.T @ centered / (Z.shape[0] - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.clip(evals[::-1], 0.0, None)  # descending, no negative noise
-    evecs = evecs[:, ::-1]
+    evals, evecs = _principal_axes(cov)
+    evals = np.clip(evals, 0.0, None)  # no negative noise
     total = evals.sum()
     if total <= 0:
         raise InvalidArgument("data has zero total variance; nothing to retain")
@@ -127,10 +135,6 @@ def fit_pca(Z: np.ndarray, target_ratio: float = 0.95) -> PcaModel:
     m = int(np.searchsorted(cumulative, target_ratio - 1e-12) + 1)
     m = min(m, evals.size)
     components = evecs[:, :m].T.copy()
-    for row in components:
-        i = np.argmax(np.abs(row))
-        if row[i] < 0:
-            row *= -1.0
     return PcaModel(
         components=components,
         explained_variance=evals[:m].copy(),
@@ -156,9 +160,5 @@ def pca_transform(model: PcaModel, standardizer: Standardizer,
 
 def explained_variance_curve(model: PcaModel) -> list[tuple[int, float, float]]:
     """(component index, ratio, cumulative ratio) for each retained component."""
-    out = []
-    running = 0.0
-    for i, r in enumerate(model.explained_variance_ratio):
-        running += float(r)
-        out.append((i, float(r), running))
-    return out
+    ratio = model.explained_variance_ratio
+    return [(i, float(r), float(c)) for i, (r, c) in enumerate(zip(ratio, np.cumsum(ratio)))]

@@ -227,6 +227,28 @@ def test_evaluate_rejects_features_of_other_preprocessing(world, tmp_path, capsy
     assert f"[preprocess] {message}" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_features_of_two_channels(world, tmp_path, capsys):
+    _, _, feat, model = world
+    X, y, starts, meta = load_feature_table(feat)
+    two = tmp_path / "features_2ch.csv"
+    save_feature_table(two, X[:, :20], y, starts, meta=meta)
+    rc = main(["evaluate", "--features", str(two), "--model", str(model)])
+    assert rc == 2
+    assert ("[features] got 20 features, standardizer expects 80"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract", "identify"])
+def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys, command):
+    args = {"preprocess": ["--in", "a", "--out", "b"],
+            "extract": ["--in", "a", "--out", "b"],
+            "identify": ["--model", "m.txt", "--in", "rec.csv"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_extract_refuses_non_finite_flag(world, tmp_path, capsys):
     _, ds_dir, _, _ = world
     rc = main(["extract", "--in", str(ds_dir), "--out", str(tmp_path / "f.csv"),

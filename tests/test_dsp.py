@@ -1,5 +1,6 @@
 """Filter design/application, simplified ASR, and windowing."""
 
+import asr_reference
 import numpy as np
 import pytest
 
@@ -292,6 +293,35 @@ def test_asr_clean_channel_mismatch():
     other = _noise_recording(seed=9, n_ch=4)
     with pytest.raises(ChannelMismatch):
         asr_clean(m, other)
+
+
+@pytest.fixture(scope="module")
+def asr_case():
+    """A calibrated model and a recording with a burst and a silent stretch
+    (every component flat in the windows inside it)."""
+    ref = _noise_recording(seed=10)
+    data = ref.data.copy()
+    data[:, 2000:2500] *= 10.0
+    data[:, 4000:4400] = 0.0
+    return ref, Recording(channels=ref.channels, fs=ref.fs, data=data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [7500, 7463])
+@pytest.mark.parametrize("win_s", [0.5, 0.504])  # widths 125 and 126
+@pytest.mark.parametrize("scale", [1.0, 0.3, 0.01])
+def test_asr_clean_matches_window_loop_bit_for_bit(asr_case, scale, win_s, n):
+    ref, noisy = asr_case
+    m = asr_calibrate(ref, k=15.0, win_s=win_s)
+    m = AsrModel(mixing=m.mixing, thresholds=scale * m.thresholds, k=m.k, win_s=win_s)
+    r = Recording(channels=noisy.channels, fs=noisy.fs, data=noisy.data[:, :n])
+    out = asr_clean(m, r)
+    assert np.array_equal(out.data, asr_reference.asr_clean(m, r).data)
+    # the last window ends before the recording does; that tail passes through
+    width = int(round(win_s * FS))
+    tail = width + (n - width) // (width // 2) * (width // 2)
+    assert tail < n
+    assert np.array_equal(out.data[:, tail:], r.data[:, tail:])
 
 
 def test_asr_model_validation():

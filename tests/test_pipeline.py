@@ -11,6 +11,7 @@ from eegid.dsp import Window
 from eegid.errors import (
     ChannelMismatch,
     CorruptModel,
+    DimensionMismatch,
     EmptyDataset,
     InconsistentSamplingRate,
     InvalidArgument,
@@ -151,13 +152,27 @@ def test_fit_stage_tag_on_nonconvergence():
     ]
     with pytest.raises(NonConvergence, match=r"\[svm\] pair \(0,1\)"):
         fit_pipeline(windows, KernelSpec("rbf", c=100.0, gamma=0.1),
-                     tol=1e-12, max_passes=1)
+                     tol=1e-12, max_passes=1, flags=PreprocessFlags(win_s=0.256))
 
 
 def test_fit_records_sampling_rate_of_windows():
     windows = make_windows(0, 8, fs=500.0) + make_windows(1, 8, fs=500.0)
-    model = fit_pipeline(windows, KernelSpec("rbf", c=1.0, gamma=0.1))
+    model = fit_pipeline(windows, KernelSpec("rbf", c=1.0, gamma=0.1),
+                         flags=PreprocessFlags(win_s=0.4))
     assert model.flags.fs == 500.0
+
+
+def test_fit_rejects_windows_of_other_width():
+    # 64-sample windows under the default 0.8 s flags: a model that refused
+    # its own training windows at evaluate
+    windows = make_windows(0, 8, w=64) + make_windows(1, 8, w=64)
+    with pytest.raises(InvalidArgument,
+                       match=r"^\[window\] windows are 64 samples wide, model "
+                             r"trained on 200 \(0.8 s at 250 Hz\)"):
+        fit_pipeline(windows, KernelSpec("linear", c=1.0))
+    model = fit_pipeline(windows, KernelSpec("linear", c=1.0),
+                         flags=PreprocessFlags(win_s=0.256))
+    assert evaluate(model, windows).n_test == 16
 
 
 def test_pipeline_dimension_chain(small_world):
@@ -280,8 +295,17 @@ def test_identify_channel_mismatch(small_world):
     model = small_world[4]
     bad = signal_io.Recording(channels=("A", "B"), fs=250.0,
                               data=np.random.default_rng(0).normal(size=(2, 2000)))
-    with pytest.raises(ChannelMismatch):
+    with pytest.raises(ChannelMismatch,
+                       match=r"^\[preprocess\] recording has 2 channels, model expects 8"):
         identify(model, bad)
+
+
+def test_evaluate_rejects_windows_of_other_channel_count(small_world):
+    _, _, _, test, model = small_world
+    two = [dataclasses.replace(w, data=w.data[:2]) for w in test]
+    with pytest.raises(DimensionMismatch,
+                       match=r"^\[features\] got 20 features, standardizer expects 80"):
+        evaluate(model, two)
 
 
 @pytest.fixture(scope="module")

@@ -3,21 +3,29 @@
 import numpy as np
 import pytest
 
+from eegid.dsp import asr_calibrate
 from eegid.errors import DimensionMismatch, NonFiniteInput, TooFewRows
 from eegid.reduction import (
     STD_FLOOR,
     PcaModel,
     Standardizer,
+    _principal_axes,
     explained_variance_curve,
     fit_pca,
     fit_standardizer,
     pca_transform,
 )
+from eegid.signal_io import Recording
 
 
 def _standardized(X):
     s = fit_standardizer(X)
     return s.transform(X), s
+
+
+def _peaks(columns):
+    """Each column's largest-magnitude entry."""
+    return columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +201,26 @@ def test_pca_validation():
     model = fit_pca(Z, 0.9)
     with pytest.raises(DimensionMismatch):
         pca_transform(model, s, np.ones(6))
+
+
+def test_principal_axes_descending_unit_and_signed():
+    rng = np.random.default_rng(47)
+    A = rng.standard_normal((60, 6)) @ rng.standard_normal((6, 6))
+    cov = A.T @ A
+    evals, vecs = _principal_axes(cov)
+    assert np.all(np.diff(evals) <= 0)
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+    assert np.all(_peaks(vecs) > 0)
+    assert np.allclose(cov @ vecs, vecs * evals, atol=1e-9 * evals[0])
+
+
+def test_asr_mixing_and_pca_components_share_the_sign_rule():
+    rng = np.random.default_rng(48)
+    data = (np.eye(8) + 0.3 * rng.standard_normal((8, 8))) @ rng.standard_normal((8, 5000))
+    mixing = asr_calibrate(Recording(channels=tuple("abcdefgh"), fs=250.0, data=data)).mixing
+    assert np.all(_peaks(mixing) > 0)
+    Z, _ = _standardized(rng.standard_normal((100, 9)) @ rng.standard_normal((9, 9)))
+    assert np.all(_peaks(fit_pca(Z, 1.0).components.T) > 0)
 
 
 def test_model_invariant_enforcement():
