@@ -10,7 +10,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from eegid import generate_synthetic_dataset, load_dataset, save_dataset
 
@@ -26,8 +25,12 @@ sid, rec = ds.entries[0]
 print(f"subject {sid}: data shape {rec.data.shape} at {rec.fs:g} Hz")
 
 # Where does subject 0 carry its energy? Look at the Hann-windowed
-# periodogram of one channel and report the strongest bin.
-freqs, power = scipy.signal.periodogram(rec.data[0], rec.fs, window="hann")
+# periodogram of one channel (mean removed, periodic Hann window) and
+# report the strongest bin.
+x = rec.data[0] - rec.data[0].mean()
+hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(x.size) / x.size)
+power = np.abs(np.fft.rfft(x * hann)) ** 2
+freqs = np.fft.rfftfreq(x.size, d=1.0 / rec.fs)
 peak = freqs[np.argmax(power[1:]) + 1]  # skip the DC bin
 print(f"strongest non-DC component on channel {rec.channels[0]}: {peak:.2f} Hz")
 

@@ -14,8 +14,9 @@ The preprocessing flags and window geometry of `extract` travel in the
 features CSV header into the model, and `identify` windows with them.
 `train`/`evaluate`/`grid` split rows with `svm.split_rows`, as the library does.
 
-Only `synth` and `--split random` are random, and both take --seed. Errors
-exit nonzero with a one-line stage-tagged message on stderr.
+Only `synth` and `--split random` are random, and only they take --seed:
+`train`, `evaluate` and `grid` refuse it under the chronological split.
+Errors exit nonzero with a one-line stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ def _flags_from_args(args) -> pipeline.PreprocessFlags:
 
 
 def _split_from_args(args) -> svm.SplitSpec:
+    if args.seed is not None and args.split != "random":
+        raise InvalidArgument("--seed applies only with --split random; "
+                              "the chronological split takes no seed")
     seed = (args.seed or 0) if args.split == "random" else None
     return svm.SplitSpec(train_fraction=args.train_fraction,
                          mode=args.split, seed=seed)
@@ -167,10 +171,10 @@ def cmd_extract(args) -> int:
 
 
 def _load_split_features(args):
+    split = _split_from_args(args)
     X, y, starts, meta = features.load_feature_table(args.features)
     order = np.lexsort((starts, y))
     X, y, starts = X[order], y[order], starts[order]
-    split = _split_from_args(args)
     train_idx, test_idx = svm.split_rows(y, split)
     return X, y, meta, split, train_idx, test_idx
 

@@ -158,6 +158,33 @@ def test_random_split_uses_seed(world, capsys):
     assert "random" in out and "seed=3" in out
 
 
+def _split_command_args(command, model, out_dir):
+    return {"train": ["--model", str(out_dir / "m.txt"), "--kernel", "linear"],
+            "evaluate": ["--model", str(model)],
+            "grid": ["--kernels", "linear", "--out", str(out_dir / "grid.csv")]}[command]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "grid"])
+def test_seed_is_refused_without_random_split(world, tmp_path, capsys, command):
+    _, _, feat, model = world
+    rc = main([command, "--features", str(feat),
+               *_split_command_args(command, model, tmp_path), "--seed", "1"])
+    assert rc == 2
+    assert ("--seed applies only with --split random"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "grid"])
+def test_seed_is_accepted_with_random_split(world, tmp_path, capsys, command):
+    _, _, feat, model = world
+    assert main([command, "--features", str(feat),
+                 *_split_command_args(command, model, tmp_path),
+                 "--split", "random", "--seed", "1"]) == 0
+    if command != "grid":  # grid prints no split description
+        assert "random 0.8/0.2 seed=1" in capsys.readouterr().out
+
+
 def test_missing_features_file_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--features", str(tmp_path / "nope.csv"),
                "--model", str(tmp_path / "m.txt")])
@@ -328,32 +355,36 @@ def test_train_rejects_subject_with_too_few_windows(world, tmp_path, capsys):
     assert "subject 1 has 4 windows" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: in this process other tests have already
-# imported scipy.signal. Prints which commands left it unloaded.
+# Runs in a fresh interpreter: in this process the oracle tests have
+# already imported scipy. Prints the scipy modules loaded after each command.
 _FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
 feat, tmp = sys.argv[1:]
 import eegid
+from eegid import pipeline
 from eegid.cli import main
-seen = {"import": "scipy.signal" in sys.modules}
+steps = [
+    ["synth", "--subjects", "2", "--duration", "6", "--out", tmp + "/ds"],
+    ["preprocess", "--in", tmp + "/ds", "--out", tmp + "/clean"],
+    ["extract", "--in", tmp + "/ds", "--out", tmp + "/f.csv"],
+    ["train", "--features", feat, "--model", tmp + "/m.txt", "--kernel", "linear"],
+    ["evaluate", "--features", feat, "--model", tmp + "/m.txt"],
+    ["grid", "--features", feat, "--kernels", "linear"],
+    ["identify", "--model", tmp + "/m.txt", "--in", tmp + "/ds/subject_0/rec_000.csv"],
+]
+codes, loaded = [], {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 with contextlib.redirect_stdout(io.StringIO()):
-    steps = [
-        ["synth", "--subjects", "2", "--duration", "6", "--out", tmp + "/ds"],
-        ["train", "--features", feat, "--model", tmp + "/m.txt",
-         "--kernel", "linear"],
-        ["evaluate", "--features", feat, "--model", tmp + "/m.txt"],
-        ["grid", "--features", feat, "--kernels", "linear"],
-    ]
-    codes = [main(argv) for argv in steps]
-    seen["synth/train/evaluate/grid"] = "scipy.signal" in sys.modules
-    codes.append(main(["identify", "--model", tmp + "/m.txt",
-                       "--in", tmp + "/ds/subject_0/rec_000.csv"]))
-    seen["identify"] = "scipy.signal" in sys.modules
-print(json.dumps({"codes": codes, "seen": seen}))
+    for argv in steps:
+        if argv[0] == "identify":
+            pipeline._filter_cascade.cache_clear()
+        codes.append(main(argv))
+        loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "identify_cascades": pipeline._filter_cascade.cache_info().currsize}))
 """
 
 
-def test_only_filtering_commands_load_scipy_signal(world, tmp_path):
+def test_no_command_loads_scipy(world, tmp_path):
     _, _, feat, _ = world
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
@@ -362,8 +393,8 @@ def test_only_filtering_commands_load_scipy_signal(world, tmp_path):
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 5
-    seen = result["seen"]
-    assert not seen["import"]
-    assert not seen["synth/train/evaluate/grid"]
-    assert seen["identify"]  # positive control: identify filters
+    assert result["codes"] == [0] * 7
+    assert result["loaded"] == dict.fromkeys(
+        ["import", "synth", "preprocess", "extract", "train", "evaluate", "grid",
+         "identify"], [])
+    assert result["identify_cascades"] == 1  # positive control: identify filtered

@@ -406,6 +406,22 @@ def test_filter_cascade_is_designed_once_per_flags_and_rate(monkeypatch, no_asr_
         design(flags.bp_order, flags.bp_lo, flags.bp_hi, 250.0)]))
 
 
+def test_filter_operators_are_built_once_per_section(no_asr_model):
+    dsp._section_operators.cache_clear()
+    rec = signal_io.Recording(
+        channels=signal_io.EEG_CHANNELS, fs=250.0,
+        data=np.random.default_rng(5).normal(size=(8, 600)))
+    identify(no_asr_model, rec)
+    identify(no_asr_model, rec)
+    sections = pipeline._filter_cascade(no_asr_model.flags, 250.0).shape[0]
+    info = dsp._section_operators.cache_info()
+    assert (info.misses, info.hits) == (sections, sections)
+    response = dsp._section_operators(tuple(pipeline._filter_cascade(
+        no_asr_model.flags, 250.0)[0].tolist()))[0]
+    with pytest.raises(ValueError):
+        response[0, 0] = 0.0
+
+
 def test_identify_single_window_majority_is_unit(no_asr_model):
     rec = signal_io.Recording(
         channels=signal_io.EEG_CHANNELS, fs=250.0,
