@@ -190,20 +190,20 @@ def _shannon_rows(x: np.ndarray) -> np.ndarray:
     """Histogram entropy of every row over [min, max], natural log, 0 for a
     flat row: np.histogram's ENTROPY_BINS equal-width binning
     (edges by linspace, index from the scaled offset, then its one-step
-    corrections against the edges, last bin closed) done with per-row
-    edges and one bincount."""
+    corrections against the edges, last bin closed) done with one
+    bincount. Edge e of a row is e * step + lo, as linspace computes it;
+    its last edge, hi, is never compared."""
     rows, n = x.shape
     lo = np.min(x, axis=1)
     hi = np.max(x, axis=1)
     flat = lo == hi
     span = np.where(flat, 1.0, hi - lo)[:, None]
-    edges = np.arange(ENTROPY_BINS + 1) * (span / ENTROPY_BINS) + lo[:, None]
-    edges[:, -1] = hi
-    idx = ((x - lo[:, None]) / span * ENTROPY_BINS).astype(np.intp)
+    lo, step = lo[:, None], span / ENTROPY_BINS
+    idx = ((x - lo) / span * ENTROPY_BINS).astype(np.intp)
     idx[idx == ENTROPY_BINS] -= 1
+    idx[x < idx * step + lo] -= 1
+    idx[(x >= (idx + 1) * step + lo) & (idx != ENTROPY_BINS - 1)] += 1
     row = np.arange(rows)[:, None]
-    idx[x < edges[row, idx]] -= 1
-    idx[(x >= edges[row, idx + 1]) & (idx != ENTROPY_BINS - 1)] += 1
     counts = np.bincount((idx + ENTROPY_BINS * row).ravel(),
                          minlength=rows * ENTROPY_BINS)
     p = counts.reshape(rows, ENTROPY_BINS) / n

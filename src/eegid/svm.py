@@ -15,16 +15,26 @@ when m - M <= tol, M being the smallest score over I_low: every bias in
 [M, m] then meets each example's KKT condition within tol.
 
 The one-vs-one pair problems run in lockstep: each loop iteration makes
-one update in every pair still running, by numpy calls over (pairs, rows)
-arrays padded to the largest pair. Each pair problem carries its own
-kernel and C, so a grid search solves the pairs of all of its cells in
-one loop, as train_multiclass solves the pairs of one model. Both
+one update in every lane still running, by numpy calls over (lanes,
+rows) arrays padded to the largest pair. Each pair problem carries its
+own kernel and C, so a grid search solves the pairs of all of its cells
+in one loop, as train_multiclass solves the pairs of one model. Both
 choices take a pair's lowest index among ties, so each pair follows
 exactly its own deterministic path, and stops on its own test or budget
-of max_passes * n updates. Consecutive pairs share a loop while their
-padded Gram caches hold at most KERNEL_CACHE_LIMIT**2 entries; a pair
+of max_passes * n updates.
+
+The problems of one pair whose kernels differ only in C form a ladder.
+It holds one Gram matrix and starts as one lane in the box of its
+smallest C; while every |alpha| is below that C, any larger box selects
+and clips the same steps (the shared start of the SVM regularization
+path, Hastie et al., JMLR 5, 2004), so the lane is each member's own
+path. Before a step that would bring an |alpha| to that C, the members
+of larger C fork into a new lane from the state before the step.
+Consecutive ladders share a loop while their padded Gram matrices hold
+at most KERNEL_CACHE_LIMIT**2 entries, and such a cache group computes
+each pair's dot products x @ x.T once for all of its ladders; a ladder
 above KERNEL_CACHE_LIMIT rows runs alone, computing two kernel rows per
-update. train_binary_smo is the same loop on one pair.
+lane update. train_binary_smo is the same loop on one pair.
 
 Decision convention for a pair (a, b) with a < b: training labels are -1
 for class a and +1 for class b, so f(x) > 0 votes for b. As in LIBSVM, a
@@ -33,8 +43,9 @@ multiclass model stores each support vector once for all of its pairs.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +54,7 @@ from .errors import (DimensionMismatch, InvalidArgument, NonConvergence,
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
-# pair problems up to this many rows precompute the full Gram matrix
+# ladders up to this many rows precompute their Gram matrix (one slice each)
 KERNEL_CACHE_LIMIT = 4096
 
 DEFAULT_TOL = 1e-3
@@ -102,18 +113,24 @@ def gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"{A.shape[1]}-dim rows vs {B.shape[1]}-dim rows")
+    norms = ((np.sum(A * A, axis=1), np.sum(B * B, axis=1)) if k.kind == "rbf"
+             else (None, None))
+    return _kernel(k, A @ B.T, *norms)
+
+
+def _kernel(k: KernelSpec, dots: np.ndarray, a_sq, b_sq) -> np.ndarray:
+    """k(A[i], B[j]) from the dot products A @ B.T and, for RBF only, the
+    row norms of A and B: exp(-gamma |a - b|^2)."""
     if k.kind == "linear":
-        return A @ B.T
+        return dots
     if k.kind == "poly":
-        return (k.gamma * (A @ B.T) + k.coef0) ** k.degree
-    return _rbf(k.gamma, np.sum(A * A, axis=1), np.sum(B * B, axis=1), A @ B.T)
-
-
-def _rbf(gamma: float, a_sq: np.ndarray, b_sq: np.ndarray,
-         dots: np.ndarray) -> np.ndarray:
-    """exp(-gamma |a - b|^2) from the row norms of A and B and A @ B.T."""
+        return (k.gamma * dots + k.coef0) ** k.degree
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
-    return np.exp(-gamma * np.clip(sq, 0.0, None))
+    return np.exp(-k.gamma * np.clip(sq, 0.0, None))
+
+
+# gram(_DOT, A, B) is A @ B.T, the dot products _kernel builds on
+_DOT = KernelSpec("linear", 1.0)
 
 
 def dual_objective(k: KernelSpec, X: np.ndarray, y: np.ndarray,
@@ -204,11 +221,11 @@ def _solver_input(X, labels, tol: float, max_passes: int) -> np.ndarray:
 
 
 def _cache_groups(sizes) -> list[list[int]]:
-    """Runs of consecutive pairs whose Gram caches, padded to the run's
-    largest pair, hold at most KERNEL_CACHE_LIMIT**2 entries; a pair
-    above KERNEL_CACHE_LIMIT rows runs alone, uncached."""
+    """Runs of consecutive ladders whose Gram slices, one per ladder padded
+    to the run's largest, hold at most KERNEL_CACHE_LIMIT**2 entries; a
+    ladder above KERNEL_CACHE_LIMIT rows runs alone, uncached."""
     groups: list[list[int]] = []
-    width = 0  # the largest pair of the current run
+    width = 0  # the largest ladder of the current run
     for p, n in enumerate(sizes):
         width = max(width, n)
         if groups and (len(groups[-1]) + 1) * width**2 <= KERNEL_CACHE_LIMIT**2:
@@ -219,106 +236,167 @@ def _cache_groups(sizes) -> list[list[int]]:
     return groups
 
 
-def _lockstep(y, diag, rows, c, tol, max_passes, step_hook):
-    """WSS2 on P pair problems at once. As pair q stops, yields (q, v,
-    score, m, m - M, converged), v = y * alpha and score cut to its n
-    rows. y (P, N) holds each pair's labels and diag its kernel diagonal,
-    both zero after n; c (P,) holds each pair's C; rows((p, t)) returns
-    K_p[t_p], zero in the padding.
+def _lockstep(y, diag, rows, cs, tol, max_passes, step_hook):
+    """WSS2 on the pair problems of L ladders at once. y (L, N) holds each
+    ladder's labels and diag its kernel diagonal, both zero after its n
+    rows; cs[l] lists the C of each member of ladder l, ascending;
+    rows((l, t)) returns K_l[t], zero in the padding. As member k of
+    ladder l stops, yields (l, k, v, score, m, m - M, converged), v =
+    y * alpha and score cut to the n rows.
+
+    A lane makes one update per iteration for members k0..k1 - 1 of a
+    ladder, in the box of the smallest, C = cs[l][k0]. While every
+    |alpha| stays below that C, a larger box selects and clips the same
+    steps, so the lane follows each member's own path. Before a step that
+    would bring an |alpha| to C, by clipping or by rounding, the members
+    of a larger C fork: a new lane takes them on from the state before
+    that step, one update behind, with their own budget.
     """
     n = np.count_nonzero(y, axis=1)
-    # alpha_t may move along y_t (t in I_up) while v_t < hi_t and against
-    # y_t (t in I_low) while v_t > lo_t; padding has v = hi = lo = 0
-    c = c[:, None]
-    hi, lo = np.where(y > 0, c, 0.0), np.where(y < 0, -c, 0.0)
-    pid, v, s, budget = np.arange(len(y)), np.zeros_like(y), y.copy(), max_passes * n
-    ar, no, tau, steps = np.arange(len(y)), np.float64(-np.inf), np.float64(_TAU), 0
+
+    def lanes(spans, lid, v, s, diag, budget):
+        """The arrays of lanes (ladder, k0, k1) that start from the given
+        state; cap is the |alpha| at which a lane forks: its C while a
+        member has a larger one, else inf."""
+        c = np.array([cs[l][k0] for l, k0, _ in spans])
+        cap = np.where([cs[l][k1 - 1] > cs[l][k0] for l, k0, k1 in spans], c, np.inf)
+        # alpha_t may move along y_t (t in I_up) while v_t < hi_t and
+        # against y_t (t in I_low) while v_t > lo_t; padding has v = hi = lo = 0
+        yl, c = y[lid], c[:, None]
+        return [lid, v, s, np.where(yl > 0, c, 0.0), np.where(yl < 0, -c, 0.0),
+                diag, budget, cap]
+
+    spans = [(l, 0, len(c)) for l, c in enumerate(cs)]
+    lid, v, s, hi, lo, diag, budget, cap = state = lanes(
+        spans, np.arange(len(y)), np.zeros_like(y), y.copy(), diag, max_passes * n)
+    no, tau, steps, moved = np.float64(-np.inf), np.float64(_TAU), 0, 0
+    forks = cap.min() < np.inf  # a lane may fork, so each step is checked
     while True:
+        ar = np.arange(len(spans))
         s_up = np.where(v < hi, s, no)
         i = s_up.argmax(axis=1)
         m = s_up[ar, i]
         gain = np.where(v > lo, m[:, None] - s, no)
         gap = gain[ar, gain.argmax(axis=1)]  # m - M
-        if steps and step_hook is not None:
-            for q, p in enumerate(pid):
-                step_hook(np.abs(v[q, :n[p]]), float(m[q] - 0.5 * gap[q]))
+        if step_hook is not None:  # once per member of each lane that moved
+            for q in range(moved):
+                l, k0, k1 = spans[q]
+                for _ in range(k0, k1):
+                    step_hook(np.abs(v[q, :n[l]]), float(m[q] - 0.5 * gap[q]))
         done = gap <= tol
         stop = done | (budget == steps)
         if stop.any():
-            for q, p in zip(np.flatnonzero(stop), pid[stop]):
-                yield p, v[q, :n[p]].copy(), s[q, :n[p]].copy(), m[q], gap[q], done[q]
+            for q in np.flatnonzero(stop):
+                l, k0, k1 = spans[q]
+                for k in range(k0, k1):
+                    yield l, k, v[q, :n[l]].copy(), s[q, :n[l]].copy(), m[q], gap[q], done[q]
             keep = ~stop
             if not keep.any():
                 return
-            pid, v, s, hi, lo, diag, budget = (  # the pairs still running
-                w[keep] for w in (pid, v, s, hi, lo, diag, budget))
-            ar, i, m, gain = ar[:pid.size], i[keep], m[keep], gain[keep]
-        row_i = rows((pid, i))
+            spans = [spans[q] for q in np.flatnonzero(keep)]  # the lanes still running
+            lid, v, s, hi, lo, diag, budget, cap = state = [w[keep] for w in state]
+            forks = cap.min() < np.inf
+            ar, i, m, gain = ar[:len(spans)], i[keep], m[keep], gain[keep]
+        row_i = rows((lid, i))
         curv = (diag[ar, i][:, None] + diag) - 2.0 * row_i
         curv = np.where(curv > 0.0, curv, tau)
         gain = np.maximum(gain, 0.0)
         j = (gain * gain / curv).argmax(axis=1)
-        row_j = rows((pid, j))
+        row_j = rows((lid, j))
         # alpha_i += y_i t and alpha_j -= y_j t keep y'alpha; t is the
         # unconstrained optimum gain/curv clipped to the box, and a
         # variable that reaches its bound is set to exactly 0 or C
         vi, vj, hi_i, lo_j = v[ar, i], v[ar, j], hi[ar, i], lo[ar, j]
         room_i, room_j = hi_i - vi, vj - lo_j
         t = np.minimum(np.minimum(gain[ar, j] / curv[ar, j], room_i), room_j)
-        v[ar, i] = new_i = np.where(t == room_i, hi_i, vi + t)
-        v[ar, j] = new_j = np.where(t == room_j, lo_j, vj - t)
-        s -= (new_i - vi)[:, None] * row_i + (new_j - vj)[:, None] * row_j
-        steps += 1
+        new_i = np.where(t == room_i, hi_i, vi + t)
+        new_j = np.where(t == room_j, lo_j, vj - t)
+        fork = np.flatnonzero(np.maximum(np.abs(new_i), np.abs(new_j)) >= cap) \
+            if forks else ()
+        if len(fork):  # lane q keeps the members of its C, a new lane the rest
+            for q in fork:
+                l, k0, k1 = spans[q]
+                k = bisect.bisect_right(cs[l], cs[l][k0], k0, k1)
+                spans[q] = (l, k0, k)
+                spans.append((l, k, k1))
+            cap[fork] = np.inf
+            lid, v, s, hi, lo, diag, budget, cap = state = [
+                np.concatenate(w) for w in zip(state, lanes(
+                    spans[len(ar):], *(w[fork] for w in (lid, v, s, diag, budget + 1))))]
+            forks = cap.min() < np.inf
+        v[ar, i], v[ar, j] = new_i, new_j
+        s[:len(ar)] -= (new_i - vi)[:, None] * row_i + (new_j - vj)[:, None] * row_j
+        steps, moved = steps + 1, len(ar)
 
 
 def _kernel_rows(k: KernelSpec, x: np.ndarray):
-    """rows((p, t)) = K[t] over the rows of x, one gram per call. An RBF row
-    is built from the linear kernel row and row norms of x computed here,
-    once, instead of in every gram call."""
-    if k.kind != "rbf":
-        return lambda idx: gram(k, x[idx[1]], x)
-    x_sq, linear = np.sum(x * x, axis=1), KernelSpec("linear", k.c)
+    """rows((l, t)) = K[t] over the rows of x, a one-row gram of dot
+    products for each lane, as a lone lane computes it."""
+    x_sq = np.sum(x * x, axis=1)
 
     def rows(idx):
-        a = x[idx[1]]
-        return _rbf(k.gamma, np.sum(a * a, axis=1), x_sq, gram(linear, a, x))
+        return np.concatenate([_kernel(k, gram(_DOT, a, x), np.sum(a * a, axis=1), x_sq)
+                               for a in (x[[t]] for t in idx[1])])
     return rows
 
 
-def _train_pairs(X, problems, tol, max_passes, step_hook):
-    """Yield (y * alpha, bias, error) of each pair problem (rows of X,
-    -1/+1 labels, KernelSpec, error prefix) in order, each _cache_groups
-    group solved in _lockstep; error is the NonConvergence of a pair that
-    exhausts its budget, else None."""
-    for group in _cache_groups([len(y) for _, y, _, _ in problems]):
-        sub = [problems[p] for p in group]
+def _gram_slices(X, sub, N: int) -> np.ndarray:
+    """The Gram matrix of each ladder of a cache group, padded to N. Each
+    row set's dot products and row norms are computed once, and freed
+    before the next row set's."""
+    K = np.zeros((len(sub), N, N))
+    row_sets: dict[int, tuple] = {}  # id(r) -> (r, its ladders' slices)
+    for q, (r, *_) in enumerate(sub):
+        row_sets.setdefault(id(r), (r, []))[1].append(q)
+    for r, slices in row_sets.values():
+        x = X[r]  # one array, so numpy forms A @ A.T symmetric (syrk)
+        x_sq, dots = np.sum(x * x, axis=1), gram(_DOT, x, x)
+        for q in slices:
+            _, y, (k, *_), _ = sub[q]
+            K[q, :len(y), :len(y)] = _kernel(k, dots, x_sq, x_sq)
+        del dots
+    return K
+
+
+def _train_pairs(X, ladders, tol, max_passes, step_hook):
+    """For each ladder (rows of X, -1/+1 labels, KernelSpecs equal up to C
+    in ascending C, error prefix) in order, yield its members' (y * alpha,
+    bias, error), each _cache_groups group solved in _lockstep; error is
+    the NonConvergence of a member that exhausts its budget, else None.
+    The ladders of one pair share its row index array r, which a cache
+    group keys its dot products by."""
+    for group in _cache_groups([len(y) for _, y, _, _ in ladders]):
+        sub = [ladders[p] for p in group]
         N = max(len(y) for _, y, _, _ in sub)
         Y = np.zeros((len(sub), N))
         for q, (_, y, _, _) in enumerate(sub):
             Y[q, :len(y)] = y
         if N <= KERNEL_CACHE_LIMIT:
-            K = np.zeros((len(sub), N, N))
-            for q, (r, y, k, _) in enumerate(sub):
-                x = X[r]  # one array, so numpy forms A @ A.T symmetric (syrk)
-                K[q, :len(y), :len(y)] = gram(k, x, x)
+            K = _gram_slices(X, sub, N)
             diag, rows = np.diagonal(K, axis1=1, axis2=2).copy(), K.__getitem__
-        else:  # a lone pair: two kernel rows per update
-            x, k = X[sub[0][0]], sub[0][2]
+        else:  # a lone ladder: two kernel rows per lane update
+            (r, _, (k, *_), _), = sub
+            x = X[r]
             diag, rows = _gram_diag(k, x)[None, :], _kernel_rows(k, x)
-        c = np.array([k.c for _, _, k, _ in sub])
-        found = {q: r for q, *r in _lockstep(Y, diag, rows, c, tol,
-                                                max_passes, step_hook)}
-        for q, (r, y, k, prefix) in enumerate(sub):
-            v, s, m, gap, converged = found[q]
-            b = _bias(np.abs(v), s, k.c, float(m), float(gap))
-            error = None
-            if not converged:
-                worst = _kkt_violation(np.abs(v), y * (y - s + b), k.c)
-                error = NonConvergence(
-                    f"{prefix}SMO did not converge in {max_passes} sweeps of "
-                    f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
-                    f"KKT violation {worst:.3e})", kkt_violation=worst)
-            yield v, b, error
+        found = {(q, m): state for q, m, *state in _lockstep(
+            Y, diag, rows, [[k.c for k in specs] for _, _, specs, _ in sub],
+            tol, max_passes, step_hook)}
+        for q, (_, y, specs, prefix) in enumerate(sub):
+            yield [_fit(y, k, prefix, tol, max_passes, *found[q, m])
+                   for m, k in enumerate(specs)]
+
+
+def _fit(y, k, prefix, tol, max_passes, v, s, m, gap, converged):
+    """(y * alpha, bias, error) of a pair problem from its final state."""
+    b = _bias(np.abs(v), s, k.c, float(m), float(gap))
+    error = None
+    if not converged:
+        worst = _kkt_violation(np.abs(v), y * (y - s + b), k.c)
+        error = NonConvergence(
+            f"{prefix}SMO did not converge in {max_passes} sweeps of "
+            f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
+            f"KKT violation {worst:.3e})", kkt_violation=worst)
+    return v, b, error
 
 
 def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
@@ -335,8 +413,8 @@ def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
         raise InvalidArgument("labels must be -1/+1")
     if np.unique(y).size < 2:
         raise SingleClassInput("training data contains a single class")
-    v, b, error = next(_train_pairs(X, [(slice(None), y, k, "")], tol,
-                                    max_passes, step_hook))
+    (v, b, error), = next(_train_pairs(X, [(slice(None), y, [k], "")], tol,
+                                       max_passes, step_hook))
     if error is not None:
         raise error
     return BinarySvm(X[v != 0], v[v != 0], b, k)
@@ -386,26 +464,36 @@ class MulticlassSvmModel:
 
 def _train_specs(X, labels, specs, tol, max_passes, step_hook):
     """A one-vs-one model for each spec, or the NonConvergence of its first
-    pair that exhausts its budget: the pair problems of every spec, spec
-    by spec, go through one _train_pairs call."""
+    pair that exhausts its budget. The pair problems of every spec go
+    through one _train_pairs call as ladders: for each set of specs equal
+    up to C, in the order of its first spec, one ladder per pair, its
+    members in ascending C."""
     classes = tuple(int(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise SingleClassInput(f"need >= 2 classes, got {classes}")
     pairs = [(a, b) for ia, a in enumerate(classes) for b in classes[ia + 1:]]
     rows = [np.flatnonzero((labels == a) | (labels == b)) for a, b in pairs]
     ys = [np.where(labels[r] == b, 1.0, -1.0) for r, (a, b) in zip(rows, pairs)]
+    ladders: dict[KernelSpec, list[int]] = {}  # kernel up to C -> its specs
+    for s, k in enumerate(specs):
+        ladders.setdefault(replace(k, c=1.0), []).append(s)
+    ladders = [sorted(members, key=lambda s: specs[s].c) for members in ladders.values()]
     # drained before any model is built, so that the last group's Gram
     # cache is freed first: kept alive while the models were built, it
     # raised the peak RSS of repeated fits by about one cache
     solved = iter(list(_train_pairs(
-        X, [(r, y, k, f"pair ({a},{b}): ") for k in specs
-            for r, y, (a, b) in zip(rows, ys, pairs)],
+        X, [(r, y, [specs[s] for s in members], f"pair ({a},{b}): ")
+            for members in ladders for r, y, (a, b) in zip(rows, ys, pairs)],
         tol, max_passes, step_hook)))
+    fits = {(s, p): fit  # (spec, pair) -> (y * alpha, bias, error)
+            for members in ladders for p, ladder in zip(range(len(pairs)), solved)
+            for s, fit in zip(members, ladder)}
     results: list[MulticlassSvmModel | NonConvergence] = []
-    for k in specs:
+    for s, k in enumerate(specs):
         coef, bias = np.zeros((len(pairs), len(X))), np.zeros(len(pairs))
         failed = None
-        for p, (v, b, error) in zip(range(len(pairs)), solved):
+        for p in range(len(pairs)):
+            v, b, error = fits.pop((s, p))
             coef[p, rows[p]], bias[p] = v, b
             failed = failed or error
         used = coef.any(axis=0)  # the training rows some pair keeps
@@ -548,7 +636,9 @@ def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
     """Evaluate every combination under the split protocol. The pair
     problems of all cells, and so of all pairs of each cell, share one
     lockstep SMO loop per cache group (module docstring), each following
-    the path it would follow alone.
+    the path it would follow alone; cells that differ only in C share
+    each pair's Gram matrix and its SMO updates up to the fork of their
+    C ladder.
 
     Returns cells ranked by accuracy (failed cells last). A cell whose
     training runs out of budget records the NonConvergence message;

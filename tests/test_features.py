@@ -18,6 +18,7 @@ from eegid.errors import (
 )
 from eegid.features import (
     _CHUNK,
+    _shannon_rows,
     BAND_HI,
     BAND_LO,
     ENTROPY_BINS,
@@ -534,6 +535,33 @@ def test_batch_histogram_agrees_on_bin_edges():
         data[:, 0], data[:, 1] = lo, hi  # so the histogram range is [lo, hi]
         windows.append(_window(data))
     _assert_matches_reference(windows)
+
+
+def test_batch_entropy_on_edges_ties_subnormal_and_flat_rows():
+    # the batch histogram compares samples against e * step + lo; these
+    # rows put samples on those edges and one ulp off, repeat values, span
+    # only subnormals or one ulp, or are flat
+    rng = np.random.default_rng(46)
+    tiny = np.finfo(float).smallest_subnormal
+    rows = []
+    for _ in range(20):
+        lo, hi = np.sort(rng.uniform(-1e3, 1e3, 2))
+        edges = np.linspace(lo, hi, ENTROPY_BINS + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        row = rng.choice(np.clip(near, lo, hi), 200)
+        row[:2] = lo, hi
+        rows.append(row)
+    rows += [rng.integers(0, k, 200) * rng.uniform(0.1, 10.0) for k in (2, 3, 5, 17)]
+    rows += [rng.integers(-40, 40, 200) * tiny,          # subnormal samples
+             np.where(rng.random(200) < 0.5, 0.0, tiny),  # two subnormal values
+             rng.standard_normal(200) * 1e-300,
+             np.array([1.0, np.nextafter(1.0, 2.0)] * 100),
+             np.full(200, -7.25), np.zeros(200), np.full(200, tiny)]
+    x = np.array(rows)
+    got = _shannon_rows(x)
+    want = [shannon_entropy(row) for row in x]
+    assert np.array_equal(got, want), np.flatnonzero(got != want)
 
 
 @pytest.mark.parametrize("width", [8, 9, 201])

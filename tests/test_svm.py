@@ -721,3 +721,172 @@ def test_binary_svm_invariants():
             bias=0.0,
             kernel=KernelSpec("linear", 1.0),
         )
+
+
+# ---------------------------------------------------------------------------
+# C ladders: the pair problems of specs that differ only in C
+# ---------------------------------------------------------------------------
+
+def _ladder_data(spread, seed=90, n_per=12):
+    rng = np.random.default_rng(seed)
+    return _blobs(rng, [(0.0, 0.0), (3.5, 3.5), (-3.5, 3.5)], n_per, spread=spread)
+
+
+def _grid_equals_solo(monkeypatch, X, labels, grids, **kw):
+    """Check every grid cell against train_multiclass of its spec alone, bit
+    for bit: the model it trained and its accuracy, or its NonConvergence
+    text. Returns the solo models (None where the fit failed), in grid
+    order, and the lane updates of the grid and of all solo fits."""
+    fitted, updates, real_predict, real_lockstep = [], [], svm.predict_batch, svm._lockstep
+
+    def capture(model, rows):
+        fitted.append(model)
+        return real_predict(model, rows)
+
+    def lockstep(y, diag, rows, *rest):  # counts one lane update per row pick
+        def counted(idx):
+            updates.append(len(idx[0]) / 2)
+            return rows(idx)
+        return real_lockstep(y, diag, counted, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svm, "predict_batch", capture)
+        patch.setattr(svm, "_lockstep", lockstep)
+        cells = grid_search(X, labels, grids, SplitSpec(0.8), **kw)
+        grid_updates = sum(updates)
+        updates.clear()
+        train, test = split_rows(labels, SplitSpec(0.8))
+        specs = [spec for kind in sorted(grids) for spec in grids[kind]]
+        solos = []
+        for spec in specs:
+            try:
+                solos.append(train_multiclass(X[train], labels[train], spec, **kw))
+            except NonConvergence as e:
+                solos.append(e)
+    assert len(cells) == len(specs)
+    fitted = iter(fitted)
+    for spec, solo in zip(specs, solos):
+        cell = next(c for c in cells if c.spec == spec)
+        if isinstance(solo, NonConvergence):
+            assert cell.accuracy is None and cell.error == str(solo), spec.describe()
+            continue
+        got = next(fitted)
+        assert got.kernel == spec
+        assert np.array_equal(got.support_vectors, solo.support_vectors)
+        assert np.array_equal(got.dual_coef, solo.dual_coef), spec.describe()
+        assert np.array_equal(got.bias, solo.bias), spec.describe()
+        want = float(np.mean(predict_batch(solo, X[test]) == labels[test]))
+        assert cell.error is None and cell.accuracy == want, spec.describe()
+    assert next(fitted, None) is None
+    return ([None if isinstance(m, NonConvergence) else m for m in solos],
+            grid_updates, sum(updates))
+
+
+def test_ladder_that_never_forks_runs_as_one_lane(monkeypatch):
+    X, labels = _ladder_data(spread=0.6)
+    ladder = [KernelSpec("linear", c) for c in (10.0, 1.0, 100.0)]
+    solos, grid, solo = _grid_equals_solo(monkeypatch, X, labels, {"linear": ladder})
+    # no alpha reaches the smallest C, so the three specs share every update
+    assert all(np.abs(m.dual_coef).max() < 1.0 for m in solos)
+    assert 0 < grid == solo / 3
+
+
+def test_ladder_that_forks_equals_solo_fits(monkeypatch):
+    X, labels = _ladder_data(spread=1.5)
+    grids = {"linear": [KernelSpec("linear", c) for c in (100.0, 0.05, 1.0, 10.0, 0.01)],
+             "rbf": [KernelSpec("rbf", c, gamma=0.5) for c in (0.1, 50.0)]}
+    solos, grid, solo = _grid_equals_solo(monkeypatch, X, labels, grids)
+    # every C binds, so every ladder forks, but after a shared prefix
+    for spec, model in zip(grids["linear"] + grids["rbf"], solos):
+        assert np.any(np.abs(model.dual_coef) == spec.c), spec.describe()
+    assert 0 < grid < solo
+
+
+def test_ladder_with_equal_cs_equals_solo_fits(monkeypatch):
+    X, labels = _ladder_data(spread=1.5)
+    ladder = [KernelSpec("linear", c) for c in (1.0, 0.05, 0.05, 1.0, 1.0)]
+    poly = KernelSpec("poly", 0.5, gamma=0.5, degree=2)
+    solos, _, _ = _grid_equals_solo(monkeypatch, X, labels,
+                                    {"linear": ladder, "poly": [poly, poly]})
+    assert all(np.any(np.abs(m.dual_coef) == 0.05) for m in solos[1:3])
+
+
+def test_lone_uncached_ladder_equals_solo_fits(monkeypatch):
+    X, labels = _ladder_data(spread=1.5, n_per=20)
+    two = labels < 2
+    X, labels = X[two], labels[two]
+    n = len(split_rows(labels, SplitSpec(0.8))[0])
+    monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", n - 1)
+    shapes, real_gram = [], svm.gram
+
+    def counting_gram(k, A, B):
+        shapes.append((np.atleast_2d(A).shape[0], np.atleast_2d(B).shape[0]))
+        return real_gram(k, A, B)
+
+    monkeypatch.setattr(svm, "gram", counting_gram)
+    ladder = [KernelSpec("rbf", c, gamma=0.5) for c in (0.05, 1.0, 1.0, 20.0)]
+    solos, grid, solo = _grid_equals_solo(monkeypatch, X, labels, {"rbf": ladder})
+    assert np.any(np.abs(solos[0].dual_coef) == 0.05)
+    # two one-row grams per lane update and no n x n matrix, grid and solo
+    # fits alike; the grid's lanes share their rows among their members
+    assert shapes.count((1, n)) == 2 * (grid + solo) and (n, n) not in shapes
+    assert 0 < grid < solo
+
+
+def test_ladder_member_out_of_budget_keeps_its_own_error(monkeypatch):
+    kw = {"tol": 1e-6, "max_passes": 1}
+    for spread, cs in ((1.5, (100.0, 0.01, 0.05)), (3.0, (0.01, 1.0, 0.05))):
+        X, labels = _ladder_data(spread=spread)
+        solos, _, _ = _grid_equals_solo(
+            monkeypatch, X, labels, {"linear": [KernelSpec("linear", c) for c in cs]}, **kw)
+        # one member converges while another exhausts its budget
+        assert None in solos and any(m is not None for m in solos), spread
+
+
+@pytest.mark.parametrize("separate", [False, True])
+def test_grid_forms_each_pairs_dot_products_once_per_group(monkeypatch, separate):
+    X, labels = _ladder_data(spread=1.5, n_per=10)  # three pairs of 16 training rows
+    train, _ = split_rows(labels, SplitSpec(0.8))
+    grids = {"linear": [KernelSpec("linear", c) for c in (0.1, 10.0)],
+             "poly": [KernelSpec("poly", 1.0, gamma=0.5, degree=2)],
+             "rbf": [KernelSpec("rbf", 10.0, gamma=g) for g in (0.5, 2.0)]}
+    if separate:  # a cache group per ladder
+        monkeypatch.setattr(svm, "KERNEL_CACHE_LIMIT", 16)
+    calls, real_gram = [], svm.gram
+
+    def counting_gram(k, A, B):
+        if A is B:  # the training Gram of a pair row set
+            calls.append((k.kind, A.copy()))
+        return real_gram(k, A, B)
+
+    monkeypatch.setattr(svm, "gram", counting_gram)
+    with monkeypatch.context() as patch:
+        patch.setattr(svm, "predict_batch", lambda model, rows: np.zeros(len(rows)))
+        grid_search(X, labels, grids, SplitSpec(0.8))
+    Xt, yt = X[train], labels[train]
+    pair_rows = [Xt[(yt == a) | (yt == b)] for a, b in ((0, 1), (0, 2), (1, 2))]
+    # ladders of 3 pairs x 4 kernels: one group, or one group each
+    want = pair_rows * 4 if separate else pair_rows
+    assert all(kind == "linear" for kind, _ in calls)
+    assert len(calls) == len(want)
+    assert all(np.array_equal(x, w) for (_, x), w in zip(calls, want))
+    calls.clear()
+    _grid_equals_solo(monkeypatch, X, labels, grids)  # the cells did not change
+
+
+def test_step_hook_fires_once_per_ladder_member_update():
+    X, labels = _ladder_data(spread=1.5, n_per=8)
+    specs = [KernelSpec("linear", c) for c in (1.0, 0.05, 0.05, 10.0)] + \
+        [KernelSpec("rbf", c, gamma=0.5) for c in (0.1, 5.0)]
+    # every member's hook calls, compared as a multiset with the solo fits'
+    seen, want = [], []
+    svm._train_specs(X, labels, specs, 1e-3, 1000,
+                     lambda alpha, b: seen.append((alpha.tobytes(), b)))
+    for spec in specs:
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == b, 1.0, -1.0)
+            train_binary_smo(X[mask], y, spec,
+                             step_hook=lambda alpha, b: want.append((alpha.tobytes(), b)))
+    assert len(seen) == len(want) > 0
+    assert sorted(seen) == sorted(want)
