@@ -7,15 +7,17 @@ between a random train/test split would leak near-duplicate samples, so
 the first ceil(f*n) windows of each subject train and the rest test.
 Random (seeded) splitting is available for comparison. `split_dataset`
 applies the protocol of `svm.split_rows`, which the CLI uses on rows.
-Feature tables and models store `PreprocessFlags`, window geometry and
-sampling rate included, and models store their `KernelSpec`, through one
-dataclass-fields codec (`flags_to_meta`/`flags_from_meta`).
+Feature tables store `PreprocessFlags`, window geometry and sampling rate
+included, through one dataclass-fields codec (`flags_to_meta`/
+`flags_from_meta`), and model files write and read every block through the
+same codec: each fitted stage is rebuilt by one `_fields_from_meta` call
+and checked by its own `__post_init__`.
 
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
-and reload bit-exactly; ``np.loadtxt`` converts each matrix block. Format
-v2 holds the one-vs-one machines in one [machines] block (pair biases,
+and reload bit-exactly; ``np.loadtxt`` converts each matrix block, and a
+key given twice in one block is refused. Format v2 holds the one-vs-one machines in one [machines] block (pair biases,
 shared support vectors, pair x vector coefficients); a v1 file, one
 [pair a b] section per machine, is refused.
 """
@@ -26,6 +28,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,9 +104,11 @@ def flags_from_meta(meta: dict[str, str]) -> PreprocessFlags:
     return _fields_from_meta(PreprocessFlags, meta)
 
 
-def _fields_to_meta(obj) -> dict[str, str]:
+def _fields_to_meta(obj) -> dict:
     """A dataclass's fields as strings, in field order: None as -, bools as
-    0/1, strings as they are, the rest by repr."""
+    0/1, strings as they are, tuples and 1-D arrays as space-separated
+    items, numbers by repr. A matrix or a nested dataclass stays as it is,
+    for the caller to write."""
     meta = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -113,15 +118,23 @@ def _fields_to_meta(obj) -> dict[str, str]:
             meta[f.name] = str(int(value))
         elif isinstance(value, str):
             meta[f.name] = value
-        else:
+        elif isinstance(value, tuple):
+            meta[f.name] = " ".join(map(str, value))
+        elif isinstance(value, np.ndarray) and value.ndim == 1:
+            meta[f.name] = _fmt_vector(value)
+        elif isinstance(value, (int, float)):
             meta[f.name] = repr(value)
+        else:
+            meta[f.name] = value
     return meta
 
 
-def _fields_from_meta(cls, meta: dict[str, str]):
-    """Rebuild a dataclass from _fields_to_meta output, parsing each value
-    by its annotated type. Missing keys take the field default (a field
-    without one raises InvalidArgument); unknown keys are ignored."""
+def _fields_from_meta(cls, meta: dict):
+    """Rebuild a dataclass from _fields_to_meta output, parsing each string
+    by its field's annotated type; a 1-D array must be finite, and a value
+    that is not a string is already parsed. Missing keys take the field
+    default (a field without one raises InvalidArgument); unknown keys are
+    ignored."""
     hints = typing.get_type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
@@ -132,10 +145,16 @@ def _fields_from_meta(cls, meta: dict[str, str]):
         text = meta[f.name]
         kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
         try:
-            if text == "-" and type(None) in kinds:
+            if not isinstance(text, str):
+                values[f.name] = text
+            elif text == "-" and type(None) in kinds:
                 values[f.name] = None
             elif kinds[0] is bool:
                 values[f.name] = bool(int(text))
+            elif kinds[0] is np.ndarray:
+                values[f.name] = _finite(f.name, np.array([float(tok) for tok in text.split()]))
+            elif typing.get_origin(hints[f.name]) is tuple:
+                values[f.name] = tuple(kinds[0](tok) for tok in text.split())
             else:
                 values[f.name] = kinds[0](text)
         except ValueError as e:
@@ -194,7 +213,6 @@ class TrainedPipeline:
     pca: PcaModel
     svm: MulticlassSvmModel
     flags: PreprocessFlags
-    feature_version: str = FEATURE_ORDER_VERSION
 
     def __post_init__(self):
         if self.standardizer.n_features != self.pca.n_features:
@@ -397,32 +415,33 @@ def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(map(repr, v.tolist()))
 
 
-def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
-    """A `name rows cols` header, then one line per row."""
-    return [f"{name} {M.shape[0]} {M.shape[1]}"] + [_fmt_vector(row) for row in M]
+# The blocks after [meta], each key in v2's order. A key in _MATRICES heads
+# a `key rows cols` block of rows; "vectors" holds support_vectors.
+_V2_KEYS = {
+    "standardizer": ("mean", "std"),
+    "pca": ("target_ratio", "explained_variance", "explained_variance_ratio", "components"),
+    "svm": ("kind", "c", "gamma", "degree", "coef0", "classes"),
+    "machines": ("bias", "vectors", "dual_coef"),
+}
+_MATRICES = ("components", "vectors", "dual_coef")
+_FIELD = {"vectors": "support_vectors"}
 
 
 def _payload_lines(p: TrainedPipeline) -> list[str]:
-    lines = ["[meta]"]
-    lines.append(f"feature_version {p.feature_version}")
-    lines.append(f"feature_names {','.join(FEATURE_NAMES)}")
-    lines.append(f"n_channels {p.n_channels}")
+    fields = {**_fields_to_meta(p.standardizer), **_fields_to_meta(p.pca),
+              **_fields_to_meta(p.svm.kernel), **_fields_to_meta(p.svm)}
+    lines = ["[meta]", f"feature_version {FEATURE_ORDER_VERSION}",
+             f"feature_names {','.join(FEATURE_NAMES)}", f"n_channels {p.n_channels}"]
     lines += [f"{key} {value}" for key, value in flags_to_meta(p.flags).items()]
-    lines.append("[standardizer]")
-    lines.append(f"mean {_fmt_vector(p.standardizer.mean)}")
-    lines.append(f"std {_fmt_vector(p.standardizer.std)}")
-    lines.append("[pca]")
-    lines.append(f"target_ratio {repr(p.pca.target_ratio)}")
-    lines.append(f"explained_variance {_fmt_vector(p.pca.explained_variance)}")
-    lines.append(f"explained_variance_ratio {_fmt_vector(p.pca.explained_variance_ratio)}")
-    lines += _matrix_lines("components", p.pca.components)
-    lines.append("[svm]")
-    lines += [f"{key} {value}" for key, value in _fields_to_meta(p.svm.kernel).items()]
-    lines.append(f"classes {' '.join(str(c) for c in p.svm.classes)}")
-    lines.append("[machines]")
-    lines.append(f"bias {_fmt_vector(p.svm.bias)}")
-    lines += _matrix_lines("vectors", p.svm.support_vectors)
-    lines += _matrix_lines("dual_coef", p.svm.dual_coef)
+    for block, keys in _V2_KEYS.items():
+        lines.append(f"[{block}]")
+        for key in keys:
+            value = fields[_FIELD.get(key, key)]
+            if key in _MATRICES:
+                lines.append(f"{key} {value.shape[0]} {value.shape[1]}")
+                lines += [_fmt_vector(row) for row in value]
+            else:
+                lines.append(f"{key} {value}")
     lines.append("[end]")
     return lines
 
@@ -440,47 +459,38 @@ def save_model(p: TrainedPipeline, path) -> None:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
-class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise CorruptModel("model file ended unexpectedly")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def section(self) -> dict[str, str]:
-        """The `key value` lines up to the next [section] header."""
-        out = {}
-        while self.pos < len(self.lines) and not self.lines[self.pos].startswith("["):
-            key, _, value = self.next().partition(" ")
-            out[key] = value.strip()
-        return out
-
-    def expect(self, prefix: str) -> str:
-        line = self.next()
-        if not line.startswith(prefix + " ") and line != prefix:
-            raise CorruptModel(f"expected {prefix!r}, found {line!r}")
-        return line[len(prefix):].strip()
-
-    def vector(self, name: str) -> np.ndarray:
-        """A `name v1 v2 ...` line of finite numbers."""
-        return _finite(name, np.array([float(tok) for tok in self.expect(name).split()]))
-
-    def matrix(self, name: str) -> np.ndarray:
-        """A _matrix_lines block of finite numbers, checked against its
-        header's shape."""
-        rows, cols = (int(tok) for tok in self.expect(name).split())
-        lines = [self.next() for _ in range(rows)]
-        # loadtxt skips blank lines, and warns when it skips every line
-        M = (np.loadtxt(lines, comments=None, ndmin=2)
-             if lines and lines[0].strip() else None)
-        if M is None or M.shape != (rows, cols):
-            raise CorruptModel(f"{name} block is not {rows} x {cols}")
-        return _finite(name, M)
+def _blocks(lines: list[str]) -> dict[str, dict]:
+    """Split payload lines into {block: {field: text, or a matrix block's
+    finite array}}. The blocks must be v2's, in order, and no key may
+    appear twice in one block."""
+    names, blocks = [], []
+    lines = iter(lines)
+    for line in lines:
+        key, _, text = line.partition(" ")
+        if key.startswith("["):
+            names.append(key)
+            blocks.append({})
+            continue
+        if not blocks:
+            raise CorruptModel(f"expected '[meta]', found {line!r}")
+        value = text.strip()
+        if key in _MATRICES:
+            rows, cols = (int(tok) for tok in value.split())
+            body = list(itertools.islice(lines, rows))
+            # loadtxt skips blank lines, and warns when it skips every line
+            value = (np.loadtxt(body, comments=None, ndmin=2)
+                     if body and body[0].strip() else None)
+            if value is None or value.shape != (rows, cols):
+                raise CorruptModel(f"{key} block is not {rows} x {cols}")
+            _finite(key, value)
+        field = _FIELD.get(key, key)
+        if field in blocks[-1]:
+            raise CorruptModel(f"{names[-1]} has more than one {key!r} line")
+        blocks[-1][field] = value
+    expected = ["[meta]", *(f"[{block}]" for block in _V2_KEYS), "[end]"]
+    if names != expected:
+        raise CorruptModel(f"model blocks are {' '.join(names)}, not {' '.join(expected)}")
+    return {name.strip("[]"): block for name, block in zip(names, blocks)}
 
 
 def _finite(name: str, a: np.ndarray) -> np.ndarray:
@@ -503,53 +513,34 @@ def load_model(path) -> TrainedPipeline:
     checksum_line, _, payload = rest.partition("\n")
     if not checksum_line.startswith("checksum "):
         raise CorruptModel("missing checksum line")
-    if hashlib.sha256(payload.encode()).hexdigest() != checksum_line.split()[1]:
+    if checksum_line.split()[1:] != [hashlib.sha256(payload.encode()).hexdigest()]:
         raise CorruptModel("checksum mismatch: model file is corrupted")
-    r = _Reader(payload.splitlines())
     try:
-        r.expect("[meta]")
-        feature_version = r.expect("feature_version")
-        if feature_version != FEATURE_ORDER_VERSION:
+        blocks = _blocks(payload.splitlines())
+        meta = blocks["meta"]
+        if meta["feature_version"] != FEATURE_ORDER_VERSION:
             raise VersionMismatch(
-                f"feature contract {feature_version!r} != {FEATURE_ORDER_VERSION!r}"
+                f"feature contract {meta['feature_version']!r} != {FEATURE_ORDER_VERSION!r}"
             )
-        names = r.expect("feature_names")
-        if names != ",".join(FEATURE_NAMES):
+        if meta["feature_names"] != ",".join(FEATURE_NAMES):
             raise VersionMismatch("feature name list differs from this build")
-        n_channels = int(r.expect("n_channels"))
-        flags = flags_from_meta(r.section())
-        r.expect("[standardizer]")
-        standardizer = Standardizer(
-            mean=r.vector("mean"),
-            std=r.vector("std"),
-        )
+        n_channels = int(meta["n_channels"])
+        flags = flags_from_meta(meta)
+        standardizer = _fields_from_meta(Standardizer, blocks["standardizer"])
         if standardizer.n_features != n_channels * N_FEATURES:
             raise CorruptModel(
                 f"n_channels {n_channels} does not match the standardizer's "
                 f"{standardizer.n_features} features ({N_FEATURES} per channel)"
             )
-        r.expect("[pca]")
-        target = float(r.expect("target_ratio"))
-        ev = r.vector("explained_variance")
-        ratio = r.vector("explained_variance_ratio")
-        pca = PcaModel(components=r.matrix("components"), explained_variance=ev,
-                       explained_variance_ratio=ratio, target_ratio=target)
-        r.expect("[svm]")
-        svm_meta = r.section()
-        kernel = _fields_from_meta(KernelSpec, svm_meta)
-        if "classes" not in svm_meta:
-            raise CorruptModel("[svm] section has no classes line")
-        classes = tuple(int(tok) for tok in svm_meta["classes"].split())
-        r.expect("[machines]")
-        svm_model = MulticlassSvmModel(  # keywords in file order
-            classes=classes, bias=r.vector("bias"),
-            support_vectors=r.matrix("vectors"),
-            dual_coef=r.matrix("dual_coef"), kernel=kernel)
-        r.expect("[end]")
+        pca = _fields_from_meta(PcaModel, blocks["pca"])
+        kernel = _fields_from_meta(KernelSpec, blocks["svm"])
+        svm_model = _fields_from_meta(
+            MulticlassSvmModel, {**blocks["svm"], **blocks["machines"], "kernel": kernel})
         return TrainedPipeline(standardizer=standardizer, pca=pca,
-                               svm=svm_model, flags=flags,
-                               feature_version=feature_version)
+                               svm=svm_model, flags=flags)
     except (VersionMismatch, CorruptModel):
         raise
+    except KeyError as e:
+        raise CorruptModel(f"model file has no {e} line") from e
     except (EegIdError, ValueError, IndexError) as e:
         raise CorruptModel(f"malformed model file: {e}") from e

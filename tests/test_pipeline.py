@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,7 +452,6 @@ def test_save_load_round_trip_exact(tmp_path, small_world):
     assert np.array_equal(model.pca.components, loaded.pca.components)
     assert model.svm.kernel == loaded.svm.kernel
     assert model.flags == loaded.flags
-    assert loaded.feature_version == model.feature_version
     # saving the loaded model reproduces the file byte for byte
     save_model(loaded, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
@@ -482,6 +482,54 @@ def _rewrite_payload(path, edit):
     path.write_text(f"{head}\nchecksum {checksum}\n{payload}")
 
 
+def test_model_written_by_v2_writer_round_trips_byte_for_byte(tmp_path):
+    """tests/data/tiny_model_v2.txt was written by save_model at commit
+    10f5b31 from a tiny fit (3 subjects, 2 channels, 3 PCA components, a
+    poly kernel, no ASR, 500 Hz). Loading and saving it again must give
+    the same bytes: the round trip above only compares the writer of the
+    day with itself."""
+    pinned = Path(__file__).parent / "data" / "tiny_model_v2.txt"
+    model = load_model(pinned)
+    assert (model.n_channels, model.pca.n_components, model.svm.classes) == (2, 3, (0, 1, 2))
+    assert model.svm.kernel == KernelSpec("poly", c=10.0, gamma=0.1, degree=2, coef0=1.0)
+    assert model.flags == PreprocessFlags(asr=False, fs=500.0, win_s=1.0, hop_s=0.5)
+    save_model(model, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == pinned.read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("feature_version 2", "feature contract '2' != '1'"),
+    ("feature_names rms,std,skew", "feature name list differs from this build")])
+def test_load_model_refuses_other_feature_contract(tmp_path, small_world, line, message):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    key = line.split()[0] + " "
+    _rewrite_payload(path, lambda lines: [
+        line + "\n" if ln.startswith(key) else ln for ln in lines])
+    with pytest.raises(VersionMismatch, match=f"^{message}$"):
+        load_model(path)
+
+
+def _append_to_block(lines, block, line):
+    """Add `line` as the last line of `block` in a model's payload lines."""
+    start = lines.index(block + "\n")
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("["))
+    return lines[:end] + [line + "\n"] + lines[end:]
+
+
+@pytest.mark.parametrize("block, line", [
+    ("[meta]", "fs 500.0"), ("[meta]", "n_channels 8"), ("[meta]", "asr 0"),
+    ("[svm]", "gamma 0.5"), ("[svm]", "c 1.0"), ("[svm]", "classes 0 1 2")])
+def test_load_model_refuses_a_key_twice_in_one_block(tmp_path, small_world, block, line):
+    """A second line must not override the first."""
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: _append_to_block(lines, block, line))
+    key = line.split()[0]
+    with pytest.raises(CorruptModel, match=f"has more than one '{key}' line"):
+        load_model(path)
+
+
 def test_load_model_without_fs_line_is_250_hz(tmp_path, small_world):
     model = small_world[4]
     path = tmp_path / "model.txt"
@@ -500,6 +548,16 @@ def test_load_model_missing_svm_line_is_corrupt(tmp_path, small_world, key):
     _rewrite_payload(path, lambda lines: [ln for ln in lines
                                           if not ln.startswith(key + " ")])
     with pytest.raises(CorruptModel):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["feature_version", "feature_names", "n_channels"])
+def test_load_model_missing_meta_line_is_corrupt(tmp_path, small_world, key):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: [ln for ln in lines
+                                          if not ln.startswith(key + " ")])
+    with pytest.raises(CorruptModel, match=f"has no '{key}' line"):
         load_model(path)
 
 
@@ -667,4 +725,11 @@ def test_load_missing_checksum_line(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(f"{pipeline.MODEL_FORMAT}\n[meta]\n")
     with pytest.raises(CorruptModel, match="checksum"):
+        load_model(path)
+
+
+def test_load_checksum_line_without_digest(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(f"{pipeline.MODEL_FORMAT}\nchecksum \n[meta]\n")
+    with pytest.raises(CorruptModel, match="checksum mismatch"):
         load_model(path)
