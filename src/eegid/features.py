@@ -270,7 +270,8 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
 def load_feature_table(path):
     """Load a CSV written by save_feature_table.
 
-    Returns (X, labels, starts, meta), meta from the ``# key=value`` lines.
+    Returns (X, labels, starts, meta), meta from the ``# key=value`` lines,
+    each key at most once.
     The body follows the recording CSV rules (signal_io): finite cells
     only, rows numbered from 0 after the header, blank lines refused.
     subject_id and start_index must be integers below 2**53. Raises
@@ -283,9 +284,11 @@ def load_feature_table(path):
     with open(path) as fh:
         line = fh.readline()
         while line.startswith("#"):
-            key, eq, value = line[1:].partition("=")
+            key, eq, value = (part.strip() for part in line[1:].partition("="))
             if eq:
-                meta[key.strip()] = value.strip()
+                if key in meta:
+                    raise MalformedHeader(f"{path}: header key {key!r} given twice")
+                meta[key] = value
             line = fh.readline()
         header = line.rstrip("\n").split(",")
         n_ch = (len(header) - 2) // N_FEATURES

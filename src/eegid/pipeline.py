@@ -17,16 +17,16 @@ Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
 and reload bit-exactly; ``np.loadtxt`` converts each matrix block, and a
-key given twice in one block is refused. Format v2 holds the one-vs-one machines in one [machines] block (pair biases,
-shared support vectors, pair x vector coefficients); a v1 file, one
-[pair a b] section per machine, is refused.
+key given twice in one block is refused. Format v2 holds the one-vs-one
+machines in one [machines] block (pair biases, shared support vectors,
+pair x vector coefficients); a v1 file, one [pair a b] section per
+machine, is refused.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import itertools
 import typing
@@ -162,23 +162,15 @@ def _fields_from_meta(cls, meta: dict):
     return cls(**values)
 
 
-@functools.lru_cache(maxsize=16)
-def _filter_cascade(flags: PreprocessFlags, fs: float) -> np.ndarray:
-    """The notch + bandpass SOS cascade, designed once per (flags, fs) and
-    shared read-only."""
-    notch = dsp.design_notch(flags.notch_f0, flags.notch_q, fs)
-    bandpass = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, fs)
-    sos = np.vstack([notch, bandpass])
-    sos.flags.writeable = False
-    return sos.view()  # a view of a read-only array cannot be made writeable
-
-
 def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags()) -> Recording:
     """Notch and bandpass as one SOS cascade, then (optionally) ASR cleaning.
 
     ASR calibrates on the filtered recording's own cleanest windows.
     """
-    filtered = dsp.apply_filter(_filter_cascade(flags, r.fs), r)
+    sos = np.vstack([
+        dsp.design_notch(flags.notch_f0, flags.notch_q, r.fs),
+        dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, r.fs)])
+    filtered = dsp.apply_filter(sos, r)
     if not flags.asr:
         return filtered
     with _stage("asr"):
@@ -348,17 +340,13 @@ def evaluate_features(p: TrainedPipeline, X, y,
     with _stage("features"):
         Z = p.transform(X)
     preds = predict_batch(p.svm, Z)
-    index = {c: i for i, c in enumerate(classes)}
-    k = len(classes)
-    confusion = np.zeros((k, k), dtype=int)
-    for truth, pred in zip(y, preds):
-        confusion[index[int(truth)], index[int(pred)]] += 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        col = confusion.sum(axis=0)
-        row = confusion.sum(axis=1)
-        diag = np.diag(confusion)
-        precision = np.where(col > 0, diag / np.maximum(col, 1), 0.0)
-        recall = np.where(row > 0, diag / np.maximum(row, 1), 0.0)
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    np.add.at(confusion, (np.searchsorted(classes, y), np.searchsorted(classes, preds)), 1)
+    col = confusion.sum(axis=0)
+    row = confusion.sum(axis=1)
+    diag = np.diag(confusion)
+    precision = np.where(col > 0, diag / np.maximum(col, 1), 0.0)
+    recall = np.where(row > 0, diag / np.maximum(row, 1), 0.0)
     return EvalReport(
         accuracy=float(np.trace(confusion) / confusion.sum()),
         classes=classes,

@@ -266,6 +266,8 @@ def save_dataset(ds: LabeledDataset, root, generator: str | None = None,
 
 
 def read_meta(root) -> dict[str, str]:
+    """The key=value lines of a dataset's meta.txt; blank lines and lines
+    starting with # are skipped. A key given twice raises MalformedHeader."""
     path = Path(root) / "meta.txt"
     if not path.is_file():
         raise MissingFile(f"no meta.txt under {root}")
@@ -277,8 +279,10 @@ def read_meta(root) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise MalformedHeader(f"meta.txt: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            meta[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in meta:
+                raise MalformedHeader(f"{path}: key {key!r} given twice")
+            meta[key] = val
     return meta
 
 

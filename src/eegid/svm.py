@@ -438,6 +438,8 @@ class MulticlassSvmModel:
     def __post_init__(self):
         for name in ("support_vectors", "dual_coef", "bias"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if list(self.classes) != sorted(set(self.classes)):
+            raise InvalidArgument(f"classes must be distinct and increasing, got {self.classes}")
         sv, dc, n_pairs = self.support_vectors, self.dual_coef, len(self.pairs)
         if sv.ndim != 2 or dc.shape != (n_pairs, len(sv)) or self.bias.shape != (n_pairs,):
             raise InvalidArgument("need a dual coefficient per pair and support "

@@ -361,7 +361,7 @@ _FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
 feat, tmp = sys.argv[1:]
 import eegid
-from eegid import pipeline
+from eegid import dsp
 from eegid.cli import main
 steps = [
     ["synth", "--subjects", "2", "--duration", "6", "--out", tmp + "/ds"],
@@ -376,11 +376,11 @@ codes, loaded = [], {"import": sorted(m for m in sys.modules if m.split(".")[0] 
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in steps:
         if argv[0] == "identify":
-            pipeline._filter_cascade.cache_clear()
+            dsp._section_operators.cache_clear()
         codes.append(main(argv))
         loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "identify_cascades": pipeline._filter_cascade.cache_info().currsize}))
+                  "identify_sections": dsp._section_operators.cache_info().currsize}))
 """
 
 
@@ -397,4 +397,5 @@ def test_no_command_loads_scipy(world, tmp_path):
     assert result["loaded"] == dict.fromkeys(
         ["import", "synth", "preprocess", "extract", "train", "evaluate", "grid",
          "identify"], [])
-    assert result["identify_cascades"] == 1  # positive control: identify filtered
+    # positive control: identify filtered (a notch and two bandpass biquads)
+    assert result["identify_sections"] == 3

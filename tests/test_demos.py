@@ -1,5 +1,5 @@
 """Every demo runs end to end as a user would start it, from the root of a
-checkout. Each takes about 2 s."""
+checkout, with numpy and without scipy. Each takes about 2 s."""
 
 import os
 import subprocess
@@ -23,7 +23,12 @@ def test_demo_runs(demo, tmp_path):
     # a demo's scratch files go under TMPDIR and are gone when it exits
     tmp = tmp_path / "tmp"
     tmp.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
+    # numpy alone: a stub scipy that fails to import comes first on the path
+    stub = tmp_path / "no_scipy" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("scipy is not available")\n')
+    path = os.pathsep.join([str(stub.parent), str(ROOT / "src")])
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp))
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)

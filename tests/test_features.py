@@ -653,6 +653,14 @@ def test_load_feature_table_rejects_damaged_files(tmp_path, case):
         assert str(path) in str(ei.value)
 
 
+def test_load_feature_table_refuses_a_header_key_given_twice(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("# fs=500.0\n" + _TABLE_HEAD + _table_row())
+    with pytest.raises(MalformedHeader, match="'fs' given twice") as ei:
+        load_feature_table(path)
+    assert str(path) in str(ei.value)
+
+
 def test_load_feature_table_accepts_the_well_formed_table(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text(_TABLE_HEAD + _table_row() + _table_row(sid="3", start="100"))

@@ -201,6 +201,22 @@ def test_evaluate_report_accounting(small_world):
     assert np.all(rep.recall >= 0) and np.all(rep.recall <= 1)
 
 
+def test_evaluate_features_tallies_like_a_loop(small_world):
+    # labels shifted by one window put counts off the diagonal
+    _, _, _, test, model = small_world
+    X, y, _ = extract_feature_matrix(test)
+    y = np.roll(y, 1)
+    rep = evaluate_features(model, X, y)
+    preds = predict_batch(model.svm, model.transform(X))
+    expected = np.zeros_like(rep.confusion)
+    for truth, pred in zip(y, preds):
+        expected[rep.classes.index(truth), rep.classes.index(pred)] += 1
+    assert np.count_nonzero(expected - np.diag(np.diag(expected))) > 0
+    assert np.array_equal(rep.confusion, expected)
+    assert np.array_equal(rep.precision, np.diag(expected) / expected.sum(axis=0))
+    assert np.array_equal(rep.recall, np.diag(expected) / expected.sum(axis=1))
+
+
 def test_evaluate_separates_synthetic_subjects(small_world):
     _, _, _, test, model = small_world
     rep = evaluate(model, test)
@@ -360,51 +376,19 @@ def test_identify_short_recording_names_asr_minimum(small_world):
         identify(small_world[4], rec)
 
 
-def test_preprocess_filters_in_one_pass_as_notch_then_bandpass():
+@pytest.mark.parametrize("fs, flags", [
+    (250.0, PreprocessFlags(asr=False)),
+    (500.0, PreprocessFlags(asr=False)),
+    (250.0, PreprocessFlags(asr=False, bp_hi=90.0)),
+], ids=["250Hz", "500Hz", "bp_hi=90"])
+def test_preprocess_filters_in_one_pass_as_notch_then_bandpass(fs, flags):
     rec = signal_io.generate_synthetic_dataset(n_subjects=2, duration_s=10.0,
-                                               fs=250.0, master_seed=7).entries[0][1]
-    notch = dsp.design_notch(60.0, dsp.DEFAULT_NOTCH_Q, 250.0)
-    band = dsp.design_butterworth_bandpass(4, 0.1, 100.0, 250.0)
-    one_pass = pipeline.preprocess_recording(rec, PreprocessFlags(asr=False)).data
+                                               fs=fs, master_seed=7).entries[0][1]
+    notch = dsp.design_notch(flags.notch_f0, flags.notch_q, fs)
+    band = dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, fs)
+    one_pass = pipeline.preprocess_recording(rec, flags).data
     two_pass = dsp.apply_filter(band, dsp.apply_filter(notch, rec)).data
     assert np.array_equal(one_pass.view(np.uint64), two_pass.view(np.uint64))
-
-
-def test_filter_cascade_is_designed_once_per_flags_and_rate(monkeypatch, no_asr_model):
-    designs = []
-
-    def counting_design(*args):
-        designs.append(args)
-        return design(*args)
-
-    design = dsp.design_butterworth_bandpass
-    monkeypatch.setattr(dsp, "design_butterworth_bandpass", counting_design)
-    pipeline._filter_cascade.cache_clear()
-    rec = signal_io.Recording(
-        channels=signal_io.EEG_CHANNELS, fs=250.0,
-        data=np.random.default_rng(4).normal(size=(8, 600)))
-    first = identify(no_asr_model, rec)
-    second = identify(no_asr_model, rec)
-    assert len(designs) == 1
-    assert np.array_equal(first.window_labels, second.window_labels)
-
-    flags = no_asr_model.flags
-    pipeline.preprocess_recording(rec, dataclasses.replace(flags, bp_hi=90.0))
-    assert len(designs) == 2
-    fast = signal_io.Recording(channels=rec.channels, fs=500.0, data=rec.data)
-    pipeline.preprocess_recording(fast, flags)
-    assert len(designs) == 3
-    identify(no_asr_model, rec)
-    assert len(designs) == 3
-
-    sos = pipeline._filter_cascade(flags, 250.0)
-    with pytest.raises(ValueError):
-        sos[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        sos.flags.writeable = True
-    assert np.array_equal(sos, np.vstack([
-        dsp.design_notch(flags.notch_f0, flags.notch_q, 250.0),
-        design(flags.bp_order, flags.bp_lo, flags.bp_hi, 250.0)]))
 
 
 def test_filter_operators_are_built_once_per_section(no_asr_model):
@@ -414,11 +398,13 @@ def test_filter_operators_are_built_once_per_section(no_asr_model):
         data=np.random.default_rng(5).normal(size=(8, 600)))
     identify(no_asr_model, rec)
     identify(no_asr_model, rec)
-    sections = pipeline._filter_cascade(no_asr_model.flags, 250.0).shape[0]
+    flags = no_asr_model.flags
+    notch = dsp.design_notch(flags.notch_f0, flags.notch_q, 250.0)
+    sections = len(notch) + len(dsp.design_butterworth_bandpass(
+        flags.bp_order, flags.bp_lo, flags.bp_hi, 250.0))
     info = dsp._section_operators.cache_info()
     assert (info.misses, info.hits) == (sections, sections)
-    response = dsp._section_operators(tuple(pipeline._filter_cascade(
-        no_asr_model.flags, 250.0)[0].tolist()))[0]
+    response = dsp._section_operators(tuple(notch[0].tolist()))[0]
     with pytest.raises(ValueError):
         response[0, 0] = 0.0
 
@@ -527,6 +513,17 @@ def test_load_model_refuses_a_key_twice_in_one_block(tmp_path, small_world, bloc
     _rewrite_payload(path, lambda lines: _append_to_block(lines, block, line))
     key = line.split()[0]
     with pytest.raises(CorruptModel, match=f"has more than one '{key}' line"):
+        load_model(path)
+
+
+def test_load_model_refuses_classes_out_of_order(tmp_path, small_world):
+    """evaluate_features tallies by position in the sorted classes."""
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: [
+        "classes " + " ".join(ln.split()[:0:-1]) + "\n" if ln.startswith("classes ") else ln
+        for ln in lines])
+    with pytest.raises(CorruptModel, match="classes must be distinct and increasing"):
         load_model(path)
 
 

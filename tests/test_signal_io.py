@@ -206,6 +206,16 @@ def test_dataset_round_trip_two_subjects(tmp_path):
     assert float(meta["fs"]) == 250.0
 
 
+def test_dataset_meta_refuses_a_key_given_twice(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
+    with open(root / "meta.txt", "a") as fh:
+        fh.write("fs=500\n")
+    with pytest.raises(MalformedHeader, match="'fs' given twice") as ei:
+        load_dataset(root)
+    assert str(root / "meta.txt") in str(ei.value)
+
+
 def test_dataset_channel_mismatch_rejected(tmp_path):
     root = tmp_path / "ds"
     save_dataset(
