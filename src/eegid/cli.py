@@ -256,7 +256,7 @@ def cmd_grid(args) -> int:
             b = best[kind]
             print(f"best {kind}: {b.spec.describe()} -> {b.accuracy:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with signal_io._open_text(args.out, "results CSV", "w") as fh:
             fh.write("kind,c,gamma,degree,coef0,accuracy,error\n")
             for cell in cells:
                 s = cell.spec

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Every failure mode raised by the library derives from :class:`EegIdError`
-so callers (and the CLI) can catch one base type.
+so callers (and the CLI) can catch one base type. File failures,
+undecodable bytes included, are :class:`IoFailure` naming the file, which
+is also an ``OSError``, so ``except OSError`` keeps working; reading a
+path that is not a file is :class:`MissingFile` (a ``FileNotFoundError``).
 """
 
 
@@ -22,10 +25,10 @@ class MalformedHeader(EegIdError):
 class NonNumericSample(EegIdError):
     """A CSV body cell is not a finite number (row/col are 0-based, body-relative)."""
 
-    def __init__(self, row, col, text=""):
+    def __init__(self, path, row, col, text=""):
         self.row = row
         self.col = col
-        super().__init__(f"non-numeric sample at row {row}, col {col}: {text!r}")
+        super().__init__(f"{path}: non-numeric sample at row {row}, col {col}: {text!r}")
 
 
 class RaggedRows(EegIdError):

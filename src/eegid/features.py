@@ -32,7 +32,6 @@ per-channel reference (tests/feature_reference.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,13 +40,11 @@ from .errors import (
     EmptyBand,
     EmptyInput,
     InvalidArgument,
-    IoFailure,
     MalformedHeader,
-    MissingFile,
     NonNumericSample,
     TooFewSamples,
 )
-from .signal_io import _read_body
+from .signal_io import _open_text, _read_body
 
 FEATURE_NAMES = (
     "rms", "std", "skew", "kurt", "hj_act",
@@ -255,16 +252,13 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
     if not np.isfinite(X).all():
         raise InvalidArgument("feature matrix contains NaN/Inf")
     names = feature_column_names(X.shape[1] // N_FEATURES)
-    try:
-        with open(path, "w") as fh:
-            for key, value in (meta or {}).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write("subject_id,start_index," + ",".join(names) + "\n")
-            for sid, start, row in zip(labels, starts, X):
-                values = ",".join(map(repr, row.tolist()))
-                fh.write(f"{sid},{start},{values}\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with _open_text(path, "feature table", "w") as fh:
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write("subject_id,start_index," + ",".join(names) + "\n")
+        for sid, start, row in zip(labels, starts, X):
+            values = ",".join(map(repr, row.tolist()))
+            fh.write(f"{sid},{start},{values}\n")
 
 
 def load_feature_table(path):
@@ -275,13 +269,10 @@ def load_feature_table(path):
     The body follows the recording CSV rules (signal_io): finite cells
     only, rows numbered from 0 after the header, blank lines refused.
     subject_id and start_index must be integers below 2**53. Raises
-    MissingFile, MalformedHeader, NonNumericSample or RaggedRows.
+    MissingFile, IoFailure, MalformedHeader, NonNumericSample or RaggedRows.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such feature table: {path}")
     meta: dict[str, str] = {}
-    with open(path) as fh:
+    with _open_text(path, "feature table") as fh:
         line = fh.readline()
         while line.startswith("#"):
             key, eq, value = (part.strip() for part in line[1:].partition("="))
@@ -303,6 +294,6 @@ def load_feature_table(path):
     bad = np.flatnonzero((ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53))
     if bad.size:
         row, col = divmod(int(bad[0]), 2)
-        raise NonNumericSample(row, col, repr(float(ids[row, col])))
+        raise NonNumericSample(path, row, col, repr(float(ids[row, col])))
     return (np.ascontiguousarray(body[:, 2:]), ids[:, 0].astype(int),
             ids[:, 1].astype(int), meta)

@@ -31,7 +31,6 @@ import hashlib
 import itertools
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,15 +42,13 @@ from .errors import (
     EmptyDataset,
     InconsistentSamplingRate,
     InvalidArgument,
-    IoFailure,
-    MissingFile,
     NonFiniteInput,
     UnknownLabel,
     VersionMismatch,
 )
 from .features import FEATURE_NAMES, N_FEATURES, extract_feature_matrix
 from .reduction import PcaModel, Standardizer, fit_pca, fit_standardizer, pca_transform
-from .signal_io import DEFAULT_FS, LabeledDataset, Recording
+from .signal_io import DEFAULT_FS, LabeledDataset, Recording, _open_text
 from .svm import (
     DEFAULT_MAX_PASSES,
     DEFAULT_TOL,
@@ -167,10 +164,11 @@ def preprocess_recording(r: Recording, flags: PreprocessFlags = PreprocessFlags(
 
     ASR calibrates on the filtered recording's own cleanest windows.
     """
-    sos = np.vstack([
-        dsp.design_notch(flags.notch_f0, flags.notch_q, r.fs),
-        dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, r.fs)])
-    filtered = dsp.apply_filter(sos, r)
+    with _stage("filter"):
+        sos = np.vstack([
+            dsp.design_notch(flags.notch_f0, flags.notch_q, r.fs),
+            dsp.design_butterworth_bandpass(flags.bp_order, flags.bp_lo, flags.bp_hi, r.fs)])
+        filtered = dsp.apply_filter(sos, r)
     if not flags.asr:
         return filtered
     with _stage("asr"):
@@ -184,7 +182,8 @@ def prepare_windows(ds: LabeledDataset,
     windows: list[dsp.Window] = []
     for sid, rec in ds.entries:
         cleaned = preprocess_recording(rec, flags)
-        windows.extend(dsp.segment_windows(cleaned, sid, flags.win_s, flags.hop_s))
+        with _stage("window"):
+            windows.extend(dsp.segment_windows(cleaned, sid, flags.win_s, flags.hop_s))
     return windows
 
 
@@ -438,13 +437,10 @@ def save_model(p: TrainedPipeline, path) -> None:
     """Write the versioned, checksummed text container."""
     payload = "\n".join(_payload_lines(p)) + "\n"
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    try:
-        with open(path, "w") as fh:
-            fh.write(MODEL_FORMAT + "\n")
-            fh.write(f"checksum {digest}\n")
-            fh.write(payload)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with _open_text(path, "model file", "w") as fh:
+        fh.write(MODEL_FORMAT + "\n")
+        fh.write(f"checksum {digest}\n")
+        fh.write(payload)
 
 
 def _blocks(lines: list[str]) -> dict[str, dict]:
@@ -489,10 +485,8 @@ def _finite(name: str, a: np.ndarray) -> np.ndarray:
 
 def load_model(path) -> TrainedPipeline:
     """Read a model container, verifying version tag and checksum."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such model file: {path}")
-    text = path.read_text()
+    with _open_text(path, "model file") as fh:
+        text = fh.read()
     head, _, rest = text.partition("\n")
     if head != MODEL_FORMAT:
         raise VersionMismatch(

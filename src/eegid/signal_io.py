@@ -13,8 +13,8 @@ and its rules: one cell per header column, each a finite number, and no
 blank lines (a blank line is a row of one empty cell). ``np.loadtxt``
 converts the body; a cell-by-cell parser reads a body that breaks the
 rules only to name the first bad cell. A bad cell raises
-``NonNumericSample(row, col)``, a bad row ``RaggedRows``; rows are numbered
-from 0 at the first line after the header.
+``NonNumericSample(path, row, col)``, a bad row ``RaggedRows``; both name
+the file, and rows are numbered from 0 at the first line after the header.
 
 All values are treated as immutable after construction and are safe to
 share across threads.
@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    EegIdError,
     EmptyDataset,
     InconsistentChannels,
     InconsistentSamplingRate,
@@ -150,18 +151,38 @@ class SynthProfile:
 _HEADER_PREFIX = "ch:"
 
 
+@contextlib.contextmanager
+def _reported(path, what: str, verb: str):
+    """Report an OSError or UnicodeError raised inside as IoFailure naming
+    path; an EegIdError (a caller's parse error included) passes through."""
+    try:
+        yield
+    except EegIdError:
+        raise
+    except (OSError, UnicodeError) as e:
+        raise IoFailure(f"cannot {verb} {what} {path}: {e}") from e
+
+
+@contextlib.contextmanager
+def _open_text(path, what: str, mode: str = "r"):
+    """Every file eegid reads or writes is opened here, so one place
+    decides how a file failure is reported: reading a path that is not a
+    file raises MissingFile naming `what`, and _reported covers the rest."""
+    if mode == "r" and not os.path.isfile(path):
+        raise MissingFile(f"no such {what}: {path}")
+    with _reported(path, what, "read" if mode == "r" else "write"), open(path, mode) as fh:
+        yield fh
+
+
 def save_recording_csv(recording: Recording, path) -> None:
     """Write a recording as CSV; load_recording_csv inverts it exactly."""
     validate_recording(recording)
     header = ",".join(_HEADER_PREFIX + name for name in recording.channels)
     cols = recording.data.T  # one sample per row
-    try:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in cols:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with _open_text(path, "recording file", "w") as fh:
+        fh.write(header + "\n")
+        for row in cols:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
@@ -170,10 +191,7 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
     The file stores no sampling rate; pass fs explicitly (the dataset
     loader passes the value from meta.txt).
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such recording file: {path}")
-    with open(path) as fh:
+    with _open_text(path, "recording file") as fh:
         header = fh.readline().rstrip("\n")
         names = header.split(",") if header else []
         if not names or not all(n.startswith(_HEADER_PREFIX) for n in names):
@@ -221,9 +239,9 @@ def _parse_rows(path, lines: list[str], n_ch: int) -> np.ndarray:
             try:
                 v = float(cell)
             except ValueError:
-                raise NonNumericSample(i, j, cell) from None
+                raise NonNumericSample(path, i, j, cell) from None
             if not np.isfinite(v):
-                raise NonNumericSample(i, j, cell)
+                raise NonNumericSample(path, i, j, cell)
             rows[i, j] = v
     return rows
 
@@ -248,8 +266,11 @@ def save_dataset(ds: LabeledDataset, root, generator: str | None = None,
             raise InconsistentSamplingRate(f"subject {sid}: fs {rec.fs} != {fs}")
         if rec.channels != channels:
             raise InconsistentChannels(f"subject {sid}: channel mismatch")
-    root.mkdir(parents=True, exist_ok=True)
-    with open(root / "meta.txt", "w") as fh:
+    with _reported(root, "dataset directory", "write"):
+        root.mkdir(parents=True, exist_ok=True)
+        for sid in ds.subject_ids:
+            (root / f"subject_{sid}").mkdir(exist_ok=True)
+    with _open_text(root / "meta.txt", "dataset meta.txt", "w") as fh:
         fh.write(f"fs={repr(fs)}\n")
         fh.write(f"channels={','.join(channels)}\n")
         if generator is not None:
@@ -260,19 +281,15 @@ def save_dataset(ds: LabeledDataset, root, generator: str | None = None,
     for sid, rec in ds.entries:
         k = counters.get(sid, 0)
         counters[sid] = k + 1
-        subdir = root / f"subject_{sid}"
-        subdir.mkdir(exist_ok=True)
-        save_recording_csv(rec, subdir / f"rec_{k:03d}.csv")
+        save_recording_csv(rec, root / f"subject_{sid}" / f"rec_{k:03d}.csv")
 
 
 def read_meta(root) -> dict[str, str]:
     """The key=value lines of a dataset's meta.txt; blank lines and lines
     starting with # are skipped. A key given twice raises MalformedHeader."""
     path = Path(root) / "meta.txt"
-    if not path.is_file():
-        raise MissingFile(f"no meta.txt under {root}")
     meta: dict[str, str] = {}
-    with open(path) as fh:
+    with _open_text(path, "dataset meta.txt") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -297,23 +314,21 @@ def load_dataset(root) -> LabeledDataset:
         channels = tuple(meta["channels"].split(","))
     except KeyError as e:
         raise MalformedHeader(f"meta.txt missing required key {e}") from None
-    subjects = []
-    for name in os.listdir(root):
-        m = _SUBJECT_DIR.match(name)
-        if m and (root / name).is_dir():
-            subjects.append((int(m.group(1)), root / name))
-    subjects.sort()
+    except ValueError:
+        raise MalformedHeader(f"{root / 'meta.txt'}: fs {meta['fs']!r} is not a number") from None
+    with _reported(root, "dataset directory", "list"):
+        subjects = sorted((int(m.group(1)), root / name) for name in os.listdir(root)
+                          if (m := _SUBJECT_DIR.match(name)) and (root / name).is_dir())
+        files = [(sid, subdir / fname) for sid, subdir in subjects
+                 for fname in sorted(os.listdir(subdir)) if fname.endswith(".csv")]
     entries: list[tuple[int, Recording]] = []
-    for sid, subdir in subjects:
-        for fname in sorted(os.listdir(subdir)):
-            if not fname.endswith(".csv"):
-                continue
-            rec = load_recording_csv(subdir / fname, fs=fs)
-            if rec.channels != channels:
-                raise InconsistentChannels(
-                    f"{fname}: channel names {rec.channels} != meta {channels}"
-                )
-            entries.append((sid, rec))
+    for sid, path in files:
+        rec = load_recording_csv(path, fs=fs)
+        if rec.channels != channels:
+            raise InconsistentChannels(
+                f"{path.name}: channel names {rec.channels} != meta {channels}"
+            )
+        entries.append((sid, rec))
     if not entries:
         raise EmptyDataset(f"no subject_<k>/*.csv recordings under {root}")
     return LabeledDataset(entries=entries)

@@ -194,6 +194,33 @@ def test_missing_features_file_exits_nonzero(tmp_path, capsys):
     assert "nope.csv" in err
 
 
+def test_extract_refuses_non_numeric_rate(tmp_path, capsys):
+    ds_dir = tmp_path / "ds"
+    assert main(["synth", "--subjects", "2", "--duration", "6", "--out", str(ds_dir)]) == 0
+    (ds_dir / "meta.txt").write_text("fs=abc\nchannels=" + ",".join(signal_io.EEG_CHANNELS) + "\n")
+    capsys.readouterr()
+    rc = main(["extract", "--in", str(ds_dir), "--out", str(tmp_path / "f.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"eegid extract: {ds_dir / 'meta.txt'}: fs 'abc' is not a number"]
+
+
+def test_identify_undecodable_recording_exits_2_with_one_line(world, tmp_path):
+    _, ds_dir, _, model = world
+    data = (ds_dir / "subject_0" / "rec_000.csv").read_bytes().splitlines(keepends=True)
+    data[5] = b"\xff" + data[5][1:]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(data))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "eegid.cli", "identify", "--model", str(model), "--in", str(bad)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and "Traceback" not in done.stderr
+    assert err[0].startswith(f"eegid identify: cannot read recording file {bad}: ")
+
+
 def test_rbf_without_gamma_exits_nonzero(world, capsys):
     _, _, feat, _ = world
     rc = main(["train", "--features", str(feat),

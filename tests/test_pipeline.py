@@ -14,6 +14,7 @@ from eegid.errors import (
     CorruptModel,
     DimensionMismatch,
     EmptyDataset,
+    FrequencyOutOfRange,
     InconsistentSamplingRate,
     InvalidArgument,
     MissingFile,
@@ -366,6 +367,19 @@ def test_identify_too_short(no_asr_model):
                        match=r"^\[window\] need >= 0.8 s at 250 Hz "
                              r"\(200 samples, one window\), got 150$"):
         identify(no_asr_model, rec)
+
+
+def test_prepare_windows_tags_filter_and_window_errors():
+    low_rate = signal_io.generate_synthetic_dataset(2, 6.0, fs=200.0)
+    with pytest.raises(FrequencyOutOfRange,
+                       match=r"^\[filter\] band edges \(0.1, 100.0\) must satisfy "
+                             r"0 < lo < hi < 100.0$"):
+        prepare_windows(low_rate, PreprocessFlags(asr=False))
+    six_s = signal_io.generate_synthetic_dataset(2, 6.0)
+    with pytest.raises(RecordingTooShort,
+                       match=r"^\[window\] need >= 7 s at 250 Hz "
+                             r"\(1750 samples, one window\), got 1500$"):
+        prepare_windows(six_s, PreprocessFlags(win_s=7.0))
 
 
 def test_identify_short_recording_names_asr_minimum(small_world):

@@ -108,11 +108,11 @@ _BODY_RULES = {
     "whitespace-only line": ("1,2\n  \n3,4\n", RaggedRows,
                              "{path}: row 1 has 1 cells, expected 2"),
     "comment sign first": ("#1,2\n", NonNumericSample,
-                           "non-numeric sample at row 0, col 0: '#1'"),
+                           "{path}: non-numeric sample at row 0, col 0: '#1'"),
     "comment sign inside": ("1,2#3\n", NonNumericSample,
-                            "non-numeric sample at row 0, col 1: '2#3'"),
+                            "{path}: non-numeric sample at row 0, col 1: '2#3'"),
     "quoted cell": ('"1",2\n', NonNumericSample,
-                    "non-numeric sample at row 0, col 0: '\"1\"'"),
+                    "{path}: non-numeric sample at row 0, col 0: '\"1\"'"),
     "trailing comma": ("1,2,\n", RaggedRows, "{path}: row 0 has 3 cells, expected 2"),
     "digit separator": ("1_0,2\n", None, [[10.0], [2.0]]),
 }
@@ -214,6 +214,30 @@ def test_dataset_meta_refuses_a_key_given_twice(tmp_path):
     with pytest.raises(MalformedHeader, match="'fs' given twice") as ei:
         load_dataset(root)
     assert str(root / "meta.txt") in str(ei.value)
+
+
+def test_dataset_meta_refuses_a_non_numeric_rate(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
+    (root / "meta.txt").write_text("fs=abc\nchannels=A,B\n")
+    with pytest.raises(MalformedHeader, match="fs 'abc' is not a number") as ei:
+        load_dataset(root)
+    assert str(root / "meta.txt") in str(ei.value)
+
+
+def test_dataset_bad_cell_names_its_file(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset(generate_synthetic_dataset(2, 1.0), root)
+    bad = root / "subject_1" / "rec_000.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[4] = "nan"
+    lines[3] = ",".join(cells)
+    bad.write_text("".join(lines))
+    with pytest.raises(NonNumericSample) as ei:
+        load_dataset(root)
+    assert (ei.value.row, ei.value.col) == (2, 4)
+    assert str(ei.value) == f"{bad}: non-numeric sample at row 2, col 4: 'nan'"
 
 
 def test_dataset_channel_mismatch_rejected(tmp_path):
