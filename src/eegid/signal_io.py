@@ -6,7 +6,11 @@ Recording CSV: header ``ch:<name>,ch:<name>,...``, then one sample per row
 in plain decimal text at full ``repr`` precision, so save -> load is exact.
 The CSV carries no sampling rate; that lives in the dataset sidecar
 ``meta.txt`` (``key=value`` lines: ``fs``, ``channels``, ``generator``,
-``seed``) next to the ``subject_<k>/`` directories.
+``seed``) next to the ``subject_<k>/`` directories. ``fs`` is a positive,
+finite number, and every recording's header lists the ``channels`` of
+``meta.txt``, in order; load_dataset raises MalformedHeader naming
+``meta.txt``, or InconsistentChannels naming the recording relative to
+the dataset root, when they are not.
 
 Recording CSVs and feature tables (``features.py``) share one body reader
 and its rules: one cell per header column, each a finite number, and no
@@ -295,7 +299,7 @@ def read_meta(root) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise MalformedHeader(f"meta.txt: expected key=value, got {line!r}")
+                raise MalformedHeader(f"{path}: expected key=value, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key in meta:
                 raise MalformedHeader(f"{path}: key {key!r} given twice")
@@ -308,14 +312,16 @@ def load_dataset(root) -> LabeledDataset:
     root = Path(root)
     if not root.is_dir():
         raise MissingFile(f"no such dataset directory: {root}")
-    meta = read_meta(root)
+    meta, meta_file = read_meta(root), root / "meta.txt"
     try:
         fs = float(meta["fs"])
         channels = tuple(meta["channels"].split(","))
     except KeyError as e:
-        raise MalformedHeader(f"meta.txt missing required key {e}") from None
+        raise MalformedHeader(f"{meta_file}: missing required key {e}") from None
     except ValueError:
-        raise MalformedHeader(f"{root / 'meta.txt'}: fs {meta['fs']!r} is not a number") from None
+        raise MalformedHeader(f"{meta_file}: fs {meta['fs']!r} is not a number") from None
+    if not (np.isfinite(fs) and fs > 0):
+        raise MalformedHeader(f"{meta_file}: fs {meta['fs']!r} is not a positive, finite number")
     with _reported(root, "dataset directory", "list"):
         subjects = sorted((int(m.group(1)), root / name) for name in os.listdir(root)
                           if (m := _SUBJECT_DIR.match(name)) and (root / name).is_dir())
@@ -325,9 +331,8 @@ def load_dataset(root) -> LabeledDataset:
     for sid, path in files:
         rec = load_recording_csv(path, fs=fs)
         if rec.channels != channels:
-            raise InconsistentChannels(
-                f"{path.name}: channel names {rec.channels} != meta {channels}"
-            )
+            raise InconsistentChannels(f"{path.relative_to(root)}: channel names "
+                                       f"{rec.channels} != meta {channels}")
         entries.append((sid, rec))
     if not entries:
         raise EmptyDataset(f"no subject_<k>/*.csv recordings under {root}")

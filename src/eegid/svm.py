@@ -359,12 +359,12 @@ def _gram_slices(X, sub, N: int) -> np.ndarray:
 
 
 def _train_pairs(X, ladders, tol, max_passes, step_hook):
-    """For each ladder (rows of X, -1/+1 labels, KernelSpecs equal up to C
-    in ascending C, error prefix) in order, yield its members' (y * alpha,
-    bias, error), each _cache_groups group solved in _lockstep; error is
-    the NonConvergence of a member that exhausts its budget, else None.
-    The ladders of one pair share its row index array r, which a cache
-    group keys its dot products by."""
+    """Solve the ladders (rows of X, -1/+1 labels, KernelSpecs equal up to
+    C in ascending C, error prefix), each _cache_groups group in
+    _lockstep. As member k of ladders[p] stops, yield (p, k, y * alpha,
+    bias, error); error is the NonConvergence of a member that exhausts
+    its budget, else None. The ladders of one pair share its row index
+    array r, which a cache group keys its dot products by."""
     for group in _cache_groups([len(y) for _, y, _, _ in ladders]):
         sub = [ladders[p] for p in group]
         N = max(len(y) for _, y, _, _ in sub)
@@ -378,25 +378,20 @@ def _train_pairs(X, ladders, tol, max_passes, step_hook):
             (r, _, (k, *_), _), = sub
             x = X[r]
             diag, rows = _gram_diag(k, x)[None, :], _kernel_rows(k, x)
-        found = {(q, m): state for q, m, *state in _lockstep(
-            Y, diag, rows, [[k.c for k in specs] for _, _, specs, _ in sub],
-            tol, max_passes, step_hook)}
-        for q, (_, y, specs, prefix) in enumerate(sub):
-            yield [_fit(y, k, prefix, tol, max_passes, *found[q, m])
-                   for m, k in enumerate(specs)]
-
-
-def _fit(y, k, prefix, tol, max_passes, v, s, m, gap, converged):
-    """(y * alpha, bias, error) of a pair problem from its final state."""
-    b = _bias(np.abs(v), s, k.c, float(m), float(gap))
-    error = None
-    if not converged:
-        worst = _kkt_violation(np.abs(v), y * (y - s + b), k.c)
-        error = NonConvergence(
-            f"{prefix}SMO did not converge in {max_passes} sweeps of "
-            f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
-            f"KKT violation {worst:.3e})", kkt_violation=worst)
-    return v, b, error
+        for q, k, v, s, m, gap, converged in _lockstep(
+                Y, diag, rows, [[k.c for k in specs] for _, _, specs, _ in sub],
+                tol, max_passes, step_hook):
+            _, y, specs, prefix = sub[q]
+            c = specs[k].c
+            b = _bias(np.abs(v), s, c, float(m), float(gap))
+            error = None
+            if not converged:
+                worst = _kkt_violation(np.abs(v), y * (y - s + b), c)
+                error = NonConvergence(
+                    f"{prefix}SMO did not converge in {max_passes} sweeps of "
+                    f"{len(y)} pair updates (m - M = {gap:.3e} > tol {tol:g}, "
+                    f"KKT violation {worst:.3e})", kkt_violation=worst)
+            yield group[q], k, v, b, error
 
 
 def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
@@ -413,8 +408,8 @@ def train_binary_smo(X, y, k: KernelSpec, tol: float = DEFAULT_TOL,
         raise InvalidArgument("labels must be -1/+1")
     if np.unique(y).size < 2:
         raise SingleClassInput("training data contains a single class")
-    (v, b, error), = next(_train_pairs(X, [(slice(None), y, [k], "")], tol,
-                                       max_passes, step_hook))
+    (_, _, v, b, error), = _train_pairs(X, [(slice(None), y, [k], "")], tol,
+                                        max_passes, step_hook)
     if error is not None:
         raise error
     return BinarySvm(X[v != 0], v[v != 0], b, k)
@@ -479,29 +474,28 @@ def _train_specs(X, labels, specs, tol, max_passes, step_hook):
     ladders: dict[KernelSpec, list[int]] = {}  # kernel up to C -> its specs
     for s, k in enumerate(specs):
         ladders.setdefault(replace(k, c=1.0), []).append(s)
-    ladders = [sorted(members, key=lambda s: specs[s].c) for members in ladders.values()]
+    ladders = [(sorted(members, key=lambda s: specs[s].c), p)
+               for members in ladders.values() for p in range(len(pairs))]
+    stops = [[] for _ in specs]  # spec -> (pair, y * alpha, bias, error) per pair
     # drained before any model is built, so that the last group's Gram
     # cache is freed first: kept alive while the models were built, it
     # raised the peak RSS of repeated fits by about one cache
-    solved = iter(list(_train_pairs(
-        X, [(r, y, [specs[s] for s in members], f"pair ({a},{b}): ")
-            for members in ladders for r, y, (a, b) in zip(rows, ys, pairs)],
-        tol, max_passes, step_hook)))
-    fits = {(s, p): fit  # (spec, pair) -> (y * alpha, bias, error)
-            for members in ladders for p, ladder in zip(range(len(pairs)), solved)
-            for s, fit in zip(members, ladder)}
+    for l, k, *stop in _train_pairs(X, [
+            (rows[p], ys[p], [specs[s] for s in members], "pair ({},{}): ".format(*pairs[p]))
+            for members, p in ladders], tol, max_passes, step_hook):
+        members, p = ladders[l]
+        stops[members[k]].append((p, *stop))
     results: list[MulticlassSvmModel | NonConvergence] = []
-    for s, k in enumerate(specs):
+    for spec, own in zip(specs, stops):
         coef, bias = np.zeros((len(pairs), len(X))), np.zeros(len(pairs))
         failed = None
-        for p in range(len(pairs)):
-            v, b, error = fits.pop((s, p))
+        for p, v, b, error in sorted(own, key=lambda stop: stop[0]):
             coef[p, rows[p]], bias[p] = v, b
             failed = failed or error
         used = coef.any(axis=0)  # the training rows some pair keeps
         results.append(failed or MulticlassSvmModel(
             classes=classes, support_vectors=X[used], dual_coef=coef[:, used],
-            bias=bias, kernel=k))
+            bias=bias, kernel=spec))
     return results
 
 

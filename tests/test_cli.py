@@ -205,6 +205,19 @@ def test_extract_refuses_non_numeric_rate(tmp_path, capsys):
     assert err == [f"eegid extract: {ds_dir / 'meta.txt'}: fs 'abc' is not a number"]
 
 
+@pytest.mark.parametrize("fs", ["-5", "nan"])
+def test_extract_refuses_a_rate_that_is_not_positive_and_finite(tmp_path, capsys, fs):
+    ds_dir = tmp_path / "ds"
+    assert main(["synth", "--subjects", "2", "--duration", "6", "--out", str(ds_dir)]) == 0
+    (ds_dir / "meta.txt").write_text(f"fs={fs}\nchannels={','.join(signal_io.EEG_CHANNELS)}\n")
+    capsys.readouterr()
+    rc = main(["extract", "--in", str(ds_dir), "--out", str(tmp_path / "f.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"eegid extract: {ds_dir / 'meta.txt'}: fs '{fs}' is not a positive, "
+                   "finite number"]
+
+
 def test_identify_undecodable_recording_exits_2_with_one_line(world, tmp_path):
     _, ds_dir, _, model = world
     data = (ds_dir / "subject_0" / "rec_000.csv").read_bytes().splitlines(keepends=True)

@@ -225,6 +225,30 @@ def test_dataset_meta_refuses_a_non_numeric_rate(tmp_path):
     assert str(root / "meta.txt") in str(ei.value)
 
 
+@pytest.mark.parametrize("fs", ["-5", "0", "nan", "inf"])
+def test_dataset_meta_refuses_a_rate_that_is_not_positive_and_finite(tmp_path, fs):
+    root = tmp_path / "ds"
+    save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
+    (root / "meta.txt").write_text(f"fs={fs}\nchannels=A,B\n")
+    with pytest.raises(MalformedHeader) as ei:
+        load_dataset(root)
+    assert str(ei.value) == f"{root / 'meta.txt'}: fs '{fs}' is not a positive, finite number"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fs=250.0\nchannels\n", "expected key=value, got 'channels'"),
+    ("fs=250.0\n", "missing required key 'channels'"),
+    ("channels=A,B\n", "missing required key 'fs'"),
+], ids=["no-equals", "no-channels", "no-fs"])
+def test_dataset_meta_errors_name_the_file(tmp_path, text, message):
+    root = tmp_path / "ds"
+    save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
+    (root / "meta.txt").write_text(text)
+    with pytest.raises(MalformedHeader) as ei:
+        load_dataset(root)
+    assert str(ei.value) == f"{root / 'meta.txt'}: {message}"
+
+
 def test_dataset_bad_cell_names_its_file(tmp_path):
     root = tmp_path / "ds"
     save_dataset(generate_synthetic_dataset(2, 1.0), root)
@@ -251,6 +275,17 @@ def test_dataset_channel_mismatch_rejected(tmp_path):
     sub.mkdir()
     (sub / "rec_000.csv").write_text("ch:A\n1.0\n2.0\n")
     with pytest.raises(InconsistentChannels):
+        load_dataset(root)
+
+
+def test_dataset_channel_mismatch_names_the_subject(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset(generate_synthetic_dataset(2, 1.0), root)
+    bad = root / "subject_1" / "rec_000.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace("ch:C4", "ch:XX")
+    bad.write_text("".join(lines))
+    with pytest.raises(InconsistentChannels, match=r"^subject_1[/\\]rec_000\.csv: channel names"):
         load_dataset(root)
 
 
