@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dsp, features, pipeline, signal_io, svm
 from .errors import EegIdError, InvalidArgument
-from .reduction import fit_pca, fit_standardizer
+from .reduction import fit_pca, fit_standardizer, pca_transform
 
 
 def _flag_options(sp: argparse.ArgumentParser) -> None:
@@ -173,19 +173,24 @@ def cmd_extract(args) -> int:
 def _load_split_features(args):
     split = _split_from_args(args)
     X, y, starts, meta = features.load_feature_table(args.features)
+    flags = pipeline.flags_from_meta(meta)
     order = np.lexsort((starts, y))
     X, y, starts = X[order], y[order], starts[order]
     train_idx, test_idx = svm.split_rows(y, split)
-    return X, y, meta, split, train_idx, test_idx
+    return X, y, flags, split, train_idx, test_idx
 
 
 def cmd_train(args) -> int:
-    X, y, meta, split, train_idx, _ = _load_split_features(args)
+    # a parameter the kernel ignores would still be written into the model
+    if args.gamma is not None and args.kernel == "linear":
+        raise InvalidArgument("--gamma applies only to the poly and rbf kernels")
+    if args.degree is not None and args.kernel != "poly":
+        raise InvalidArgument("--degree applies only to the poly kernel")
+    X, y, flags, split, train_idx, _ = _load_split_features(args)
     kernel = svm.KernelSpec(
         kind=args.kernel, c=args.c, gamma=args.gamma,
         degree=(3 if args.kernel == "poly" and args.degree is None
                 else args.degree))
-    flags = pipeline.flags_from_meta(meta)
     model = pipeline.fit_from_features(
         X[train_idx], y[train_idx], kernel, pca_target=args.pca,
         tol=args.tol, max_passes=args.max_passes, flags=flags)
@@ -213,9 +218,8 @@ def _print_report(rep: pipeline.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    X, y, meta, split, _, test_idx = _load_split_features(args)
+    X, y, flags, split, _, test_idx = _load_split_features(args)
     model = pipeline.load_model(args.model)
-    flags = pipeline.flags_from_meta(meta)
     pipeline.check_sampling_rate(model, flags.fs, "features")
     made, trained = pipeline.flags_to_meta(flags), pipeline.flags_to_meta(model.flags)
     differ = [key for key in trained if made[key] != trained[key]]
@@ -230,7 +234,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    X, y, meta, split, train_idx, test_idx = _load_split_features(args)
+    X, y, _, split, train_idx, test_idx = _load_split_features(args)
     kinds = [k.strip() for k in args.kernels.split(",") if k.strip()]
     all_grids = svm.default_grids()
     unknown = [k for k in kinds if k not in all_grids]
@@ -240,7 +244,7 @@ def cmd_grid(args) -> int:
     # fit scaling/projection on training rows only, then sweep in that space
     std = fit_standardizer(X[train_idx])
     pca = fit_pca(std.transform(X[train_idx]), args.pca)
-    T = std.transform(X) @ pca.components.T
+    T = pca_transform(pca, std, X)
     cells = svm.grid_search(T, y, grids, split, tol=args.tol,
                             max_passes=args.max_passes)
     print(f"{'kernel':<40} accuracy")

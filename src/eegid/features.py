@@ -44,7 +44,7 @@ from .errors import (
     NonNumericSample,
     TooFewSamples,
 )
-from .signal_io import _open_text, _read_body
+from .signal_io import _format_row, _open_text, _read_body
 
 FEATURE_NAMES = (
     "rms", "std", "skew", "kurt", "hj_act",
@@ -152,10 +152,7 @@ def _batch_features(x: np.ndarray, fs: float) -> np.ndarray:
 
     w = np.hanning(n)
     power = np.abs(np.fft.rfft(d * w, axis=1)) ** 2 / (fs * np.sum(w * w))
-    if n % 2 == 0:
-        power[:, 1:-1] *= 2.0  # all but DC and Nyquist
-    else:
-        power[:, 1:] *= 2.0  # no Nyquist bin
+    power[:, 1:(n + 1) // 2] *= 2.0  # all but DC and, for even n, Nyquist
     total = power.sum(axis=1)
     q = power / np.where(total > 0, total, 1.0)[:, None]
     spec_ent = np.where(total > 0,
@@ -257,8 +254,7 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
             fh.write(f"# {key}={value}\n")
         fh.write("subject_id,start_index," + ",".join(names) + "\n")
         for sid, start, row in zip(labels, starts, X):
-            values = ",".join(map(repr, row.tolist()))
-            fh.write(f"{sid},{start},{values}\n")
+            fh.write(f"{sid},{start},{_format_row(row)}\n")
 
 
 def load_feature_table(path):

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, N_FEATURES, extract_feature_matrix
 from .reduction import PcaModel, Standardizer, fit_pca, fit_standardizer, pca_transform
-from .signal_io import DEFAULT_FS, LabeledDataset, Recording, _open_text
+from .signal_io import DEFAULT_FS, LabeledDataset, Recording, _format_row, _open_text
 from .svm import (
     DEFAULT_MAX_PASSES,
     DEFAULT_TOL,
@@ -118,7 +118,7 @@ def _fields_to_meta(obj) -> dict:
         elif isinstance(value, tuple):
             meta[f.name] = " ".join(map(str, value))
         elif isinstance(value, np.ndarray) and value.ndim == 1:
-            meta[f.name] = _fmt_vector(value)
+            meta[f.name] = _format_row(value, " ")
         elif isinstance(value, (int, float)):
             meta[f.name] = repr(value)
         else:
@@ -325,10 +325,11 @@ def evaluate(p: TrainedPipeline, test_windows,
 def evaluate_features(p: TrainedPipeline, X, y,
                       split_description: str = "") -> EvalReport:
     """Evaluate on an already-extracted feature matrix."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0:
+    X = np.asarray(X, dtype=float)
+    if X.shape[:1] == (0,):  # before atleast_2d makes [] one empty row
         raise EmptyDataset("no test rows")
+    X = np.atleast_2d(X)
+    y = np.asarray(y, dtype=int)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise NonFiniteInput(f"[features] test row {bad[0]} contains NaN/Inf")
@@ -378,9 +379,7 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
             f"model expects {p.n_channels}"
         )
     check_sampling_rate(p, r.fs, "recording")
-    cleaned = preprocess_recording(r, p.flags)
-    with _stage("window"):
-        windows = dsp.segment_windows(cleaned, -1, p.flags.win_s, p.flags.hop_s)
+    windows = prepare_windows(LabeledDataset(entries=[(-1, r)]), p.flags)
     X, _, _ = extract_feature_matrix(windows)
     preds = predict_batch(p.svm, p.transform(X))
     counts = {c: int(np.sum(preds == c)) for c in p.svm.classes}
@@ -397,10 +396,6 @@ def identify(p: TrainedPipeline, r: Recording) -> IdentificationResult:
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-
-def _fmt_vector(v: np.ndarray) -> str:
-    return " ".join(map(repr, v.tolist()))
-
 
 # The blocks after [meta], each key in v2's order. A key in _MATRICES heads
 # a `key rows cols` block of rows; "vectors" holds support_vectors.
@@ -426,7 +421,7 @@ def _payload_lines(p: TrainedPipeline) -> list[str]:
             value = fields[_FIELD.get(key, key)]
             if key in _MATRICES:
                 lines.append(f"{key} {value.shape[0]} {value.shape[1]}")
-                lines += [_fmt_vector(row) for row in value]
+                lines += [_format_row(row, " ") for row in value]
             else:
                 lines.append(f"{key} {value}")
     lines.append("[end]")

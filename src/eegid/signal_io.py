@@ -178,6 +178,11 @@ def _open_text(path, what: str, mode: str = "r"):
         yield fh
 
 
+def _format_row(row: np.ndarray, sep: str = ",") -> str:
+    """Every float eegid writes as text, by repr, which reads back to the same bits."""
+    return sep.join(map(repr, row.tolist()))
+
+
 def save_recording_csv(recording: Recording, path) -> None:
     """Write a recording as CSV; load_recording_csv inverts it exactly."""
     validate_recording(recording)
@@ -186,7 +191,7 @@ def save_recording_csv(recording: Recording, path) -> None:
     with _open_text(path, "recording file", "w") as fh:
         fh.write(header + "\n")
         for row in cols:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+            fh.write(_format_row(row) + "\n")
 
 
 def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:

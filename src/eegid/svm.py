@@ -193,8 +193,7 @@ def _gram_diag(k: KernelSpec, X: np.ndarray) -> np.ndarray:
     """k(x_i, x_i) for every row, without forming the Gram matrix."""
     if k.kind == "rbf":
         return np.ones(X.shape[0])
-    dots = np.einsum("ij,ij->i", X, X)
-    return dots if k.kind == "linear" else (k.gamma * dots + k.coef0) ** k.degree
+    return _kernel(k, np.einsum("ij,ij->i", X, X), None, None)
 
 
 def _bias(alpha: np.ndarray, score: np.ndarray, c: float, m: float,
@@ -629,7 +628,8 @@ def default_grids() -> dict[str, list[KernelSpec]]:
 def grid_search(X, labels, grids: dict[str, list[KernelSpec]], split: SplitSpec,
                 tol: float = DEFAULT_TOL,
                 max_passes: int = DEFAULT_MAX_PASSES) -> list[GridCell]:
-    """Evaluate every combination under the split protocol. The pair
+    """Evaluate every combination under the split protocol, which needs
+    the rows of each class in time order (split_rows). The pair
     problems of all cells, and so of all pairs of each cell, share one
     lockstep SMO loop per cache group (module docstring), each following
     the path it would follow alone; cells that differ only in C share

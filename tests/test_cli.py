@@ -150,6 +150,32 @@ def test_grid_rejects_unknown_kernel(world, capsys):
     assert "sigmoid" in capsys.readouterr().err
 
 
+def test_grid_reports_each_cell_that_fails_and_exits_0(world, capsys):
+    _, _, feat, _ = world
+    capsys.readouterr()
+    assert main(["grid", "--features", str(feat), "--max-passes", "1",
+                 "--tol", "1e-9"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 22  # every cell of the default grids, and no best line
+    assert all(" failed: pair (0,1): SMO did not converge in 1 sweeps" in row
+               for row in rows)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--kernel", "linear", "--gamma", "0.5"], "--gamma applies only to the poly and rbf kernels"),
+    (["--kernel", "linear", "--degree", "4"], "--degree applies only to the poly kernel"),
+    (["--kernel", "rbf", "--gamma", "0.1", "--degree", "2"],
+     "--degree applies only to the poly kernel"),
+], ids=["linear with gamma", "linear with degree", "rbf with degree"])
+def test_train_refuses_a_parameter_its_kernel_ignores(world, tmp_path, capsys, extra, message):
+    _, _, feat, _ = world
+    model = tmp_path / "model.txt"
+    capsys.readouterr()
+    assert main(["train", "--features", str(feat), "--model", str(model), *extra]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"eegid train: {message}"]
+    assert not model.exists()
+
+
 def test_random_split_uses_seed(world, capsys):
     _, _, feat, model = world
     assert main(["evaluate", "--features", str(feat), "--model", str(model),

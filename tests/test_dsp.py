@@ -250,6 +250,26 @@ def test_asr_calibration_validation():
         asr_calibrate(flat, win_s=0.5)
 
 
+def test_asr_calibrate_uses_every_window_when_none_is_quiet_on_all_channels():
+    """16 windows of 0.5 s, each ten times louder on one channel (two per
+    channel), so every window is above some channel's 75th percentile."""
+    width, n_win, n_ch = int(0.5 * FS), 16, 8
+    data = 10.0 * np.random.default_rng(11).standard_normal((n_ch, n_win * width))
+    for w in range(n_win):
+        data[w % n_ch, w * width:(w + 1) * width] *= 10.0
+    wins = data.reshape(n_ch, n_win, width).transpose(1, 0, 2)
+    rms = np.sqrt(np.mean(wins ** 2, axis=2))
+    assert not np.all(rms <= np.percentile(rms, 75, axis=0), axis=1).any()
+
+    m = asr_calibrate(_rec(data), k=15.0, win_s=0.5)
+    evals, evecs = np.linalg.eigh(np.cov(data))  # every sample, every window
+    evecs = evecs[:, ::-1]  # descending, as the model orders its components
+    assert np.allclose(np.abs(np.sum(m.mixing * evecs, axis=0)), 1.0, atol=1e-9)
+    comp_rms = np.sqrt(np.mean(np.einsum("ck,wcs->wks", evecs, wins) ** 2, axis=2))
+    expected = comp_rms.mean(axis=0) + 15.0 * comp_rms.std(axis=0)
+    assert np.allclose(m.thresholds, expected, rtol=1e-9, atol=0.0)
+
+
 def test_asr_clean_identity_on_calibration_data():
     ref = _noise_recording(seed=6)
     m = asr_calibrate(ref, k=15.0, win_s=0.5)

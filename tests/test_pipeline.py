@@ -256,6 +256,12 @@ def test_evaluate_rejects_empty(small_world):
         evaluate(model, [])
 
 
+@pytest.mark.parametrize("X", [[], np.empty((0, 80))], ids=["list", "array"])
+def test_evaluate_features_rejects_no_rows(small_world, X):
+    with pytest.raises(EmptyDataset, match="^no test rows$"):
+        evaluate_features(small_world[4], X, [])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_evaluate_features_rejects_non_finite_rows(small_world, bad):
     _, _, _, test, model = small_world
@@ -538,6 +544,35 @@ def test_load_model_refuses_classes_out_of_order(tmp_path, small_world):
         "classes " + " ".join(ln.split()[:0:-1]) + "\n" if ln.startswith("classes ") else ln
         for ln in lines])
     with pytest.raises(CorruptModel, match="classes must be distinct and increasing"):
+        load_model(path)
+
+
+def _short_components(lines):
+    """Drop the last value of every row of the components block."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("components "))
+    rows = int(lines[i].split()[1])
+    for j in range(i + 1, i + 1 + rows):
+        lines[j] = lines[j].rsplit(" ", 1)[0] + "\n"
+    return lines
+
+
+def _swap_standardizer_and_pca(lines):
+    std, pca, svm = (lines.index(f"[{name}]\n") for name in ("standardizer", "pca", "svm"))
+    return lines[:std] + lines[pca:svm] + lines[std:pca] + lines[svm:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[1:], r"^expected '\[meta\]', found 'feature_version 1'$"),
+    (_short_components, r"^components block is not \d+ x 80$"),
+    (_swap_standardizer_and_pca,
+     r"^model blocks are \[meta\] \[pca\] \[standardizer\] \[svm\] \[machines\] "
+     r"\[end\], not \[meta\] \[standardizer\] \[pca\] \[svm\] \[machines\] \[end\]$"),
+], ids=["no leading block header", "components rows one value short", "blocks out of order"])
+def test_load_model_refuses_a_payload_out_of_shape(tmp_path, small_world, edit, message):
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, edit)
+    with pytest.raises(CorruptModel, match=message):
         load_model(path)
 
 

@@ -206,6 +206,12 @@ def test_dataset_round_trip_two_subjects(tmp_path):
     assert float(meta["fs"]) == 250.0
 
 
+def test_dataset_meta_skips_blank_and_comment_lines(tmp_path):
+    (tmp_path / "meta.txt").write_text("# written by hand\n\nfs=500\n   \n  # channels=X\n"
+                                       "channels=A,B\n")
+    assert read_meta(tmp_path) == {"fs": "500", "channels": "A,B"}
+
+
 def test_dataset_meta_refuses_a_key_given_twice(tmp_path):
     root = tmp_path / "ds"
     save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
