@@ -22,6 +22,7 @@ Errors exit nonzero with a one-line stage-tagged message on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 
@@ -261,13 +262,13 @@ def cmd_grid(args) -> int:
             print(f"best {kind}: {b.spec.describe()} -> {b.accuracy:.4f}")
     if args.out:
         with signal_io._open_text(args.out, "results CSV", "w") as fh:
-            fh.write("kind,c,gamma,degree,coef0,accuracy,error\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(["kind", "c", "gamma", "degree", "coef0", "accuracy", "error"])
             for cell in cells:
                 s = cell.spec
                 acc = "" if cell.accuracy is None else repr(cell.accuracy)
-                err = (cell.error or "").replace(",", ";")
-                fh.write(f"{s.kind},{s.c},{s.gamma},{s.degree},{s.coef0},"
-                         f"{acc},{err}\n")
+                rows.writerow([*map(str, (s.kind, s.c, s.gamma, s.degree, s.coef0)),
+                               acc, cell.error or ""])
         print(f"wrote {len(cells)} rows to {args.out}")
     return 0
 

@@ -226,6 +226,12 @@ def feature_column_names(n_channels: int) -> list[str]:
     return [f"c{c}_{name}" for c in range(n_channels) for name in FEATURE_NAMES]
 
 
+def _bad_ids(ids: np.ndarray) -> np.ndarray:
+    """True where an id is not an integer below 2**53, the ids a feature
+    table stores exactly."""
+    return (ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53)
+
+
 def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> None:
     """Write a feature matrix as CSV: subject_id, start_index, then one
     column per feature (exact decimal text, so loading is lossless).
@@ -237,7 +243,7 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels, starts = np.asarray(labels), np.asarray(starts)
     for name, ids in (("subject_id", labels), ("start_index", starts)):
-        if np.any((ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53)):
+        if _bad_ids(ids).any():
             raise InvalidArgument(f"{name} must be integers below 2**53")
     labels, starts = labels.astype(int), starts.astype(int)
     if X.shape[1] % N_FEATURES != 0:
@@ -263,7 +269,9 @@ def load_feature_table(path):
     Returns (X, labels, starts, meta), meta from the ``# key=value`` lines,
     each key at most once.
     The body follows the recording CSV rules (signal_io): finite cells
-    only, rows numbered from 0 after the header, blank lines refused.
+    only, rows numbered from 0 after the header, blank lines refused; the
+    converter of every numeric body, matrix and vector, parse_numbers,
+    reads it, and a body it refuses is walked only to name the bad cell.
     subject_id and start_index must be integers below 2**53. Raises
     MissingFile, IoFailure, MalformedHeader, NonNumericSample or RaggedRows.
     """
@@ -287,7 +295,7 @@ def load_feature_table(path):
     if len(body) == 0:
         raise MalformedHeader(f"{path}: feature table has no data rows")
     ids = body[:, :2]
-    bad = np.flatnonzero((ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53))
+    bad = np.flatnonzero(_bad_ids(ids))
     if bad.size:
         row, col = divmod(int(bad[0]), 2)
         raise NonNumericSample(path, row, col, repr(float(ids[row, col])))

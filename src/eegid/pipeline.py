@@ -16,7 +16,8 @@ and checked by its own `__post_init__`.
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
-and reload bit-exactly; ``np.loadtxt`` converts each matrix block, and a
+and reload bit-exactly. `signal_io.parse_numbers`, the converter of
+recording and feature-table bodies, converts every matrix and vector; a
 key given twice in one block is refused. Format v2 holds the one-vs-one
 machines in one [machines] block (pair biases, shared support vectors,
 pair x vector coefficients); a v1 file, one [pair a b] section per
@@ -34,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp
+from . import dsp, signal_io
 from .errors import (
     ChannelMismatch,
     CorruptModel,
+    DimensionMismatch,
     EegIdError,
     EmptyDataset,
     InconsistentSamplingRate,
@@ -149,7 +151,8 @@ def _fields_from_meta(cls, meta: dict):
             elif kinds[0] is bool:
                 values[f.name] = bool(int(text))
             elif kinds[0] is np.ndarray:
-                values[f.name] = _finite(f.name, np.array([float(tok) for tok in text.split()]))
+                values[f.name] = _numbers(f.name, signal_io.parse_numbers([text], 1),
+                                          f"{f.name} is not a row of numbers")[0]
             elif typing.get_origin(hints[f.name]) is tuple:
                 values[f.name] = tuple(kinds[0](tok) for tok in text.split())
             else:
@@ -330,6 +333,8 @@ def evaluate_features(p: TrainedPipeline, X, y,
         raise EmptyDataset("no test rows")
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=int)
+    if len(y) != len(X):
+        raise DimensionMismatch(f"[features] {len(X)} test rows but {len(y)} labels")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise NonFiniteInput(f"[features] test row {bad[0]} contains NaN/Inf")
@@ -455,13 +460,8 @@ def _blocks(lines: list[str]) -> dict[str, dict]:
         value = text.strip()
         if key in _MATRICES:
             rows, cols = (int(tok) for tok in value.split())
-            body = list(itertools.islice(lines, rows))
-            # loadtxt skips blank lines, and warns when it skips every line
-            value = (np.loadtxt(body, comments=None, ndmin=2)
-                     if body and body[0].strip() else None)
-            if value is None or value.shape != (rows, cols):
-                raise CorruptModel(f"{key} block is not {rows} x {cols}")
-            _finite(key, value)
+            block = signal_io.parse_numbers(itertools.islice(lines, rows), rows, cols)
+            value = _numbers(key, block, f"{key} block is not {rows} x {cols}")
         field = _FIELD.get(key, key)
         if field in blocks[-1]:
             raise CorruptModel(f"{names[-1]} has more than one {key!r} line")
@@ -472,9 +472,10 @@ def _blocks(lines: list[str]) -> dict[str, dict]:
     return {name.strip("[]"): block for name, block in zip(names, blocks)}
 
 
-def _finite(name: str, a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise CorruptModel(f"{name} contains NaN/Inf")
+def _numbers(name: str, a: np.ndarray | None, refused: str) -> np.ndarray:
+    """a, from parse_numbers: CorruptModel `refused` if None, or naming `name` if NaN/Inf."""
+    if a is None or not np.isfinite(a).all():
+        raise CorruptModel(refused if a is None else f"{name} contains NaN/Inf")
     return a
 
 

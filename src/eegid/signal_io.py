@@ -14,9 +14,10 @@ the dataset root, when they are not.
 
 Recording CSVs and feature tables (``features.py``) share one body reader
 and its rules: one cell per header column, each a finite number, and no
-blank lines (a blank line is a row of one empty cell). ``np.loadtxt``
-converts the body; a cell-by-cell parser reads a body that breaks the
-rules only to name the first bad cell. A bad cell raises
+blank lines (a blank line is a row of one empty cell). parse_numbers, the
+one converter of every numeric body, matrix and vector eegid reads,
+converts it; a body it refuses is walked only to name the first bad cell,
+with the same function. A bad cell raises
 ``NonNumericSample(path, row, col)``, a bad row ``RaggedRows``; both name
 the file, and rows are numbered from 0 at the first line after the header.
 
@@ -27,9 +28,10 @@ share across threads.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -214,45 +216,45 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
     return Recording(channels=channels, fs=fs, data=data.T)
 
 
-def _read_body(path, fh, n_cols: int) -> np.ndarray:
-    """The CSV body left in fh as a (rows, n_cols) array. np.loadtxt
-    converts it, streamed after a pass that counts the lines, and its
-    result stands if it holds n_cols finite values per line (loadtxt skips
-    empty lines). Otherwise _parse_rows rereads the body cell by cell to
-    name the first bad row and column (row 0 is the first body line)."""
-    start = fh.tell()
-    first = fh.readline()
-    n_rows = bool(first) + sum(1 for _ in fh)
-    fh.seek(start)
-    data = None
+def parse_numbers(lines, n_rows: int, n_cols=None, delimiter=None,
+                  finite=False) -> np.ndarray | None:
+    """n_rows lines (any iterable; an open file is streamed) of n_cols
+    numbers each (any count if None) as an (n_rows, n_cols) array, or None
+    if they are anything else. NaN and Inf convert unless `finite`."""
+    lines = iter(lines)
+    first = next(lines, "")
     if first.strip():  # loadtxt warns when it skips every line
         with contextlib.suppress(ValueError):
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if data is None or data.shape != (n_rows, n_cols) or not np.isfinite(data).all():
-        fh.seek(start)
-        data = _parse_rows(path, list(fh), n_cols)
-    return data
+            data = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
+                              comments=None, ndmin=2)
+            if (data.shape[0] == n_rows and n_cols in (None, data.shape[1])
+                    and (not finite or np.isfinite(data).all())):
+                return data
+    return None
 
 
-def _parse_rows(path, lines: list[str], n_ch: int) -> np.ndarray:
-    """Cell-by-cell parse that raises RaggedRows or NonNumericSample for
-    the first bad row in file order."""
-    rows = np.empty((len(lines), n_ch))
-    for i, line in enumerate(lines):
+def _read_body(path, fh, n_cols: int) -> np.ndarray:
+    """The CSV body left in fh as a (rows, n_cols) array of finite values,
+    converted by parse_numbers after a pass that counts the lines. A body it
+    refuses is walked only to name the first bad row or cell (row 0 is the
+    first body line): rows whole, then the cells of the first refused row."""
+    start = fh.tell()
+    n_rows = sum(1 for _ in fh)
+    fh.seek(start)
+    data = (parse_numbers(fh, n_rows, n_cols, ",", finite=True) if n_rows
+            else np.empty((0, n_cols)))
+    if data is not None:
+        return data
+    fh.seek(start)
+    for i, line in enumerate(fh):
         cells = line.rstrip("\n").split(",")
-        if len(cells) != n_ch:
-            raise RaggedRows(
-                f"{path}: row {i} has {len(cells)} cells, expected {n_ch}"
-            )
-        for j, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericSample(path, i, j, cell) from None
-            if not np.isfinite(v):
-                raise NonNumericSample(path, i, j, cell)
-            rows[i, j] = v
-    return rows
+        if len(cells) != n_cols:
+            raise RaggedRows(f"{path}: row {i} has {len(cells)} cells, expected {n_cols}")
+        if parse_numbers([line], 1, n_cols, ",", finite=True) is None:
+            j = next(j for j, cell in enumerate(cells)
+                     if parse_numbers([cell], 1, 1, ",", finite=True) is None)
+            raise NonNumericSample(path, i, j, cells[j])
+    raise IoFailure(f"{path}: file changed while it was read")
 
 
 # ---------------------------------------------------------------------------

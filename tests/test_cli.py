@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, wiring between stages, error exits."""
 
+import csv
 import json
 import os
 import subprocess
@@ -159,6 +160,21 @@ def test_grid_reports_each_cell_that_fails_and_exits_0(world, capsys):
     assert len(rows) == 22  # every cell of the default grids, and no best line
     assert all(" failed: pair (0,1): SMO did not converge in 1 sweeps" in row
                for row in rows)
+
+
+def test_grid_out_holds_each_error_as_printed(world, tmp_path, capsys):
+    _, _, feat, _ = world
+    out = tmp_path / "results.csv"
+    capsys.readouterr()
+    assert main(["grid", "--features", str(feat), "--max-passes", "1", "--tol", "1e-9",
+                 "--out", str(out)]) == 0
+    printed = [row.split(" failed: ", 1)[1] for row in capsys.readouterr().out.splitlines()
+               if " failed: " in row]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "error" and len(rows) == 1 + len(printed) == 23
+    assert [row[-1] for row in rows[1:]] == printed
+    assert all("pair (0,1)" in error and ", KKT violation" in error for error in printed)
 
 
 @pytest.mark.parametrize("extra, message", [

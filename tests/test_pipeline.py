@@ -271,6 +271,13 @@ def test_evaluate_features_rejects_non_finite_rows(small_world, bad):
         evaluate_features(model, X, y)
 
 
+def test_evaluate_features_refuses_rows_and_labels_of_other_counts(small_world):
+    _, _, _, test, model = small_world
+    X, y, _ = extract_feature_matrix(test[:5])
+    with pytest.raises(DimensionMismatch, match=r"^\[features\] 5 test rows but 3 labels$"):
+        evaluate_features(model, X, y[:3])
+
+
 def test_refit_is_deterministic_and_ignores_test_set(tmp_path, small_world):
     _, windows, train, test, _ = small_world
     flags = PreprocessFlags()
@@ -659,6 +666,19 @@ def test_load_model_refuses_non_finite_numbers(tmp_path, small_world, block, val
     save_model(small_world[4], path)
     _rewrite_payload(path, lambda lines: _poison(lines, block, value))
     with pytest.raises(CorruptModel, match=f"^{block} contains NaN/Inf"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("block, value", [("bias", "1_0"), ("mean", "x"), ("mean", None)],
+                         ids=["digit separator in bias", "word in mean", "empty mean"])
+def test_load_model_refuses_a_vector_that_is_not_numbers(tmp_path, small_world, block, value):
+    """Vectors are converted as matrices and CSV bodies are: 1_0 is no number."""
+    path = tmp_path / "model.txt"
+    save_model(small_world[4], path)
+    _rewrite_payload(path, lambda lines: (
+        _poison(lines, block, value) if value else
+        [f"{block}\n" if ln.startswith(block + " ") else ln for ln in lines]))
+    with pytest.raises(CorruptModel, match=block):
         load_model(path)
 
 

@@ -1,5 +1,6 @@
 """Recording CSV round trips, dataset layout, and synthetic generation."""
 
+import io
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from eegid.errors import (
     InvalidArgument,
     InvalidProfile,
     InvalidRecording,
+    IoFailure,
     MalformedHeader,
     MissingFile,
     NonNumericSample,
@@ -114,7 +116,14 @@ _BODY_RULES = {
     "quoted cell": ('"1",2\n', NonNumericSample,
                     "{path}: non-numeric sample at row 0, col 0: '\"1\"'"),
     "trailing comma": ("1,2,\n", RaggedRows, "{path}: row 0 has 3 cells, expected 2"),
-    "digit separator": ("1_0,2\n", None, [[10.0], [2.0]]),
+    "digit separator": ("1_0,2\n", NonNumericSample,
+                        "{path}: non-numeric sample at row 0, col 0: '1_0'"),
+    "non-ASCII digit": ("\u0661,2\n", NonNumericSample,
+                        "{path}: non-numeric sample at row 0, col 0: '\u0661'"),
+    "blank line after the last row": ("1,2\n3,4\n\n", RaggedRows,
+                                      "{path}: row 2 has 1 cells, expected 2"),
+    "CRLF line ends": ("1,2\r\n3,4\r\n", None, [[1.0, 3.0], [2.0, 4.0]]),
+    "no final newline": ("1,2\n3,4", None, [[1.0, 3.0], [2.0, 4.0]]),
 }
 
 
@@ -131,6 +140,22 @@ def test_body_rules_hold_without_warnings(tmp_path, case):
         with pytest.raises(error) as ei:
             load_recording_csv(p)
     assert str(ei.value) == expected.format(path=p)
+
+
+def test_body_that_grows_after_the_counting_pass_is_io_failure():
+    class Growing(io.StringIO):
+        """A body another writer extends once its lines have been counted."""
+        grown = False
+
+        def seek(self, pos, whence=0):
+            if not self.grown:
+                self.grown = True
+                super().seek(0, io.SEEK_END)
+                self.write("5,6\n")
+            return super().seek(pos, whence)
+
+    with pytest.raises(IoFailure, match="^r.csv: file changed while it was read$"):
+        signal_io._read_body("r.csv", Growing("1,2\n3,4\n"), 2)
 
 
 def test_missing_file_and_bad_header(tmp_path):
