@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .reduction import _principal_axes
-from .signal_io import Recording
+from .signal_io import Recording, to_samples
 
 DEFAULT_NOTCH_Q = 30.0  # ~2 Hz wide at 60 Hz; powerline-notch sharpness
 DEFAULT_ASR_K = 15.0
@@ -297,7 +297,7 @@ def asr_calibrate(reference: Recording, k: float = DEFAULT_ASR_K,
     """
     if k <= 0 or win_s <= 0:
         raise InvalidArgument("k and win_s must be > 0")
-    width = int(round(win_s * reference.fs))
+    width = to_samples(win_s, reference.fs)
     if width < 2:
         raise InvalidArgument(f"window of {win_s}s at {reference.fs} Hz is too short")
     if reference.n_samples < 10 * width:
@@ -342,7 +342,7 @@ def asr_clean(m: AsrModel, r: Recording) -> Recording:
         raise ChannelMismatch(
             f"recording has {r.data.shape[0]} channels, model expects {m.n_channels}"
         )
-    width = int(round(m.win_s * r.fs))
+    width = to_samples(m.win_s, r.fs)
     n = r.n_samples
     if n < width or width < 2:
         return Recording(channels=r.channels, fs=r.fs, data=r.data.copy())
@@ -400,8 +400,8 @@ def segment_windows(r: Recording, subject_id: int, win_s: float = WINDOW_S,
     window is discarded. Each window's data is a read-only view into
     r.data, not a copy.
     """
-    width = int(round(win_s * r.fs))
-    hop = int(round(hop_s * r.fs))
+    width = to_samples(win_s, r.fs)
+    hop = to_samples(hop_s, r.fs)
     if width < 1 or hop < 1:
         raise InvalidArgument(f"window/hop of {win_s}/{hop_s}s at {r.fs} Hz is empty")
     n = r.n_samples

@@ -44,7 +44,7 @@ from .errors import (
     NonNumericSample,
     TooFewSamples,
 )
-from .signal_io import _format_row, _open_text, _read_body
+from .signal_io import _bad_integers, _format_row, _open_text, _read_body
 
 FEATURE_NAMES = (
     "rms", "std", "skew", "kurt", "hj_act",
@@ -226,12 +226,6 @@ def feature_column_names(n_channels: int) -> list[str]:
     return [f"c{c}_{name}" for c in range(n_channels) for name in FEATURE_NAMES]
 
 
-def _bad_ids(ids: np.ndarray) -> np.ndarray:
-    """True where an id is not an integer below 2**53, the ids a feature
-    table stores exactly."""
-    return (ids != np.trunc(ids)) | (np.abs(ids) >= 2.0 ** 53)
-
-
 def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> None:
     """Write a feature matrix as CSV: subject_id, start_index, then one
     column per feature (exact decimal text, so loading is lossless).
@@ -243,7 +237,7 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels, starts = np.asarray(labels), np.asarray(starts)
     for name, ids in (("subject_id", labels), ("start_index", starts)):
-        if _bad_ids(ids).any():
+        if _bad_integers(ids).any():
             raise InvalidArgument(f"{name} must be integers below 2**53")
     labels, starts = labels.astype(int), starts.astype(int)
     if X.shape[1] % N_FEATURES != 0:
@@ -295,7 +289,7 @@ def load_feature_table(path):
     if len(body) == 0:
         raise MalformedHeader(f"{path}: feature table has no data rows")
     ids = body[:, :2]
-    bad = np.flatnonzero(_bad_ids(ids))
+    bad = np.flatnonzero(_bad_integers(ids))
     if bad.size:
         row, col = divmod(int(bad[0]), 2)
         raise NonNumericSample(path, row, col, repr(float(ids[row, col])))

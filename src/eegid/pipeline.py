@@ -17,11 +17,13 @@ Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
 and reload bit-exactly. `signal_io.parse_numbers`, the converter of
-recording and feature-table bodies, converts every matrix and vector; a
-key given twice in one block is refused. Format v2 holds the one-vs-one
-machines in one [machines] block (pair biases, shared support vectors,
-pair x vector coefficients); a v1 file, one [pair a b] section per
-machine, is refused.
+recording and feature-table bodies, converts every matrix, matrix size,
+vector and setting, ints and bools by its integer rule (integral, below
+2**53; a bool is 0 or 1), so `2.0` reads as 2; a key given twice in one
+block is refused. Format v2 holds the one-vs-one machines in one
+[machines] block (pair biases, shared support vectors, pair x vector
+coefficients); a v1 file, one [pair a b] section per machine, is
+refused.
 """
 
 from __future__ import annotations
@@ -129,11 +131,11 @@ def _fields_to_meta(obj) -> dict:
 
 
 def _fields_from_meta(cls, meta: dict):
-    """Rebuild a dataclass from _fields_to_meta output, parsing each string
-    by its field's annotated type; a 1-D array must be finite, and a value
-    that is not a string is already parsed. Missing keys take the field
-    default (a field without one raises InvalidArgument); unknown keys are
-    ignored."""
+    """Rebuild a dataclass from _fields_to_meta output: str fields and values
+    that are not strings as they are, every number (bool, int, float, tuple
+    of ints, finite 1-D array) by parse_numbers, ints and bools by its
+    integer rule, bools 0 or 1. Missing keys take the field default (a field
+    without one raises InvalidArgument); unknown keys are ignored."""
     hints = typing.get_type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
@@ -141,24 +143,20 @@ def _fields_from_meta(cls, meta: dict):
             if f.default is dataclasses.MISSING:
                 raise InvalidArgument(f"{cls.__name__} needs {f.name!r}")
             continue
-        text = meta[f.name]
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-        try:
-            if not isinstance(text, str):
-                values[f.name] = text
-            elif text == "-" and type(None) in kinds:
-                values[f.name] = None
-            elif kinds[0] is bool:
-                values[f.name] = bool(int(text))
-            elif kinds[0] is np.ndarray:
-                values[f.name] = _numbers(f.name, signal_io.parse_numbers([text], 1),
-                                          f"{f.name} is not a row of numbers")[0]
-            elif typing.get_origin(hints[f.name]) is tuple:
-                values[f.name] = tuple(kinds[0](tok) for tok in text.split())
+        kind, *others = typing.get_args(hints[f.name]) or (hints[f.name],)
+        many = kind is np.ndarray or typing.get_origin(hints[f.name]) is tuple
+        if not isinstance(text := meta[f.name], str) or kind is str:
+            values[f.name] = text
+        elif text == "-" and type(None) in others:
+            values[f.name] = None
+        else:
+            row = signal_io.parse_numbers([text], 1, None if many else 1, integer=kind in (int, bool))
+            if kind is np.ndarray:
+                values[f.name] = _numbers(f.name, row, f"{f.name} is not a row of numbers")[0]
+            elif row is None or (kind is bool and row[0, 0] not in (0, 1)):
+                raise InvalidArgument(f"{cls.__name__} {f.name} {text!r} is no {kind.__name__}")
             else:
-                values[f.name] = kinds[0](text)
-        except ValueError as e:
-            raise InvalidArgument(f"bad {cls.__name__} {f.name}: {e}") from e
+                values[f.name] = tuple(row[0].tolist()) if many else kind(row[0, 0])
     return cls(**values)
 
 
@@ -306,7 +304,7 @@ def check_sampling_rate(p: TrainedPipeline, fs: float, what: str) -> None:
 
 def _check_width(flags: PreprocessFlags, windows) -> None:
     """Raise a [window] error unless the windows are round(win_s * fs) wide."""
-    width = round(flags.win_s * flags.fs)
+    width = signal_io.to_samples(flags.win_s, flags.fs)
     if windows[0].data.shape[1] != width:
         raise InvalidArgument(
             f"[window] windows are {windows[0].data.shape[1]} samples wide, "
@@ -317,6 +315,7 @@ def _check_width(flags: PreprocessFlags, windows) -> None:
 def evaluate(p: TrainedPipeline, test_windows,
              split_description: str = "") -> EvalReport:
     """Predict every test window and tally the confusion matrix."""
+    test_windows = list(test_windows)
     if not test_windows:
         raise EmptyDataset("no test windows")
     check_sampling_rate(p, test_windows[0].fs, "windows")
@@ -459,7 +458,8 @@ def _blocks(lines: list[str]) -> dict[str, dict]:
             raise CorruptModel(f"expected '[meta]', found {line!r}")
         value = text.strip()
         if key in _MATRICES:
-            rows, cols = (int(tok) for tok in value.split())
+            rows, cols = _numbers(key, signal_io.parse_numbers([value], 1, 2, integer=True),
+                                  f"{key} block size {value!r} is not two integers")[0]
             block = signal_io.parse_numbers(itertools.islice(lines, rows), rows, cols)
             value = _numbers(key, block, f"{key} block is not {rows} x {cols}")
         field = _FIELD.get(key, key)
@@ -502,12 +502,12 @@ def load_model(path) -> TrainedPipeline:
             )
         if meta["feature_names"] != ",".join(FEATURE_NAMES):
             raise VersionMismatch("feature name list differs from this build")
-        n_channels = int(meta["n_channels"])
         flags = flags_from_meta(meta)
         standardizer = _fields_from_meta(Standardizer, blocks["standardizer"])
-        if standardizer.n_features != n_channels * N_FEATURES:
+        n_channels = signal_io.parse_numbers([meta["n_channels"]], 1, 1, integer=True)
+        if n_channels is None or n_channels[0, 0] * N_FEATURES != standardizer.n_features:
             raise CorruptModel(
-                f"n_channels {n_channels} does not match the standardizer's "
+                f"n_channels {meta['n_channels']} does not match the standardizer's "
                 f"{standardizer.n_features} features ({N_FEATURES} per channel)"
             )
         pca = _fields_from_meta(PcaModel, blocks["pca"])

@@ -15,11 +15,14 @@ the dataset root, when they are not.
 Recording CSVs and feature tables (``features.py``) share one body reader
 and its rules: one cell per header column, each a finite number, and no
 blank lines (a blank line is a row of one empty cell). parse_numbers, the
-one converter of every numeric body, matrix and vector eegid reads,
-converts it; a body it refuses is walked only to name the first bad cell,
-with the same function. A bad cell raises
-``NonNumericSample(path, row, col)``, a bad row ``RaggedRows``; both name
-the file, and rows are numbered from 0 at the first line after the header.
+one converter of every number eegid reads from a file (bodies, matrices,
+vectors, matrix sizes, settings, ``fs`` in ``meta.txt`` and the ``<k>``
+of ``subject_<k>``, ASCII digits only), converts it; with ``integer`` it
+applies the one integer rule, _bad_integers: integral and below 2**53.
+A body it refuses is walked only to name the first bad cell, with the
+same function. A bad cell raises ``NonNumericSample(path, row, col)``, a
+bad row ``RaggedRows``; both name the file, and rows are numbered from 0
+at the first line after the header.
 
 All values are treated as immutable after construction and are safe to
 share across threads.
@@ -98,6 +101,12 @@ def validate_recording(r: Recording) -> None:
         raise InvalidRecording(f"sampling rate must be positive, got {r.fs}")
     if not np.isfinite(r.data).all():
         raise InvalidRecording("recording contains NaN or Inf samples")
+
+
+def to_samples(seconds: float, fs: float) -> int:
+    """The samples in `seconds` at fs Hz, rounded to the nearest: the one
+    rule by which eegid turns a duration into a sample count."""
+    return int(round(seconds * fs))
 
 
 @dataclass
@@ -217,10 +226,11 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
 
 
 def parse_numbers(lines, n_rows: int, n_cols=None, delimiter=None,
-                  finite=False) -> np.ndarray | None:
+                  finite=False, integer=False) -> np.ndarray | None:
     """n_rows lines (any iterable; an open file is streamed) of n_cols
     numbers each (any count if None) as an (n_rows, n_cols) array, or None
-    if they are anything else. NaN and Inf convert unless `finite`."""
+    if they are anything else. NaN and Inf convert unless `finite`; an
+    `integer` array is int and passes _bad_integers."""
     lines = iter(lines)
     first = next(lines, "")
     if first.strip():  # loadtxt warns when it skips every line
@@ -228,9 +238,15 @@ def parse_numbers(lines, n_rows: int, n_cols=None, delimiter=None,
             data = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
                               comments=None, ndmin=2)
             if (data.shape[0] == n_rows and n_cols in (None, data.shape[1])
-                    and (not finite or np.isfinite(data).all())):
-                return data
+                    and (not finite or np.isfinite(data).all())
+                    and not (integer and _bad_integers(data).any())):
+                return data.astype(int) if integer else data
     return None
+
+
+def _bad_integers(a: np.ndarray) -> np.ndarray:
+    """True where a is not an integer below 2**53: eegid's one integer rule."""
+    return (a != np.trunc(a)) | (np.abs(a) >= 2.0 ** 53)
 
 
 def _read_body(path, fh, n_cols: int) -> np.ndarray:
@@ -261,7 +277,7 @@ def _read_body(path, fh, n_cols: int) -> np.ndarray:
 # Dataset layout: <root>/meta.txt + <root>/subject_<k>/*.csv
 # ---------------------------------------------------------------------------
 
-_SUBJECT_DIR = re.compile(r"^subject_(\d+)$")
+_SUBJECT_DIR = re.compile(r"^subject_([0-9]+)$")
 
 
 def save_dataset(ds: LabeledDataset, root, generator: str | None = None,
@@ -321,17 +337,18 @@ def load_dataset(root) -> LabeledDataset:
         raise MissingFile(f"no such dataset directory: {root}")
     meta, meta_file = read_meta(root), root / "meta.txt"
     try:
-        fs = float(meta["fs"])
+        fs = parse_numbers([meta["fs"]], 1, 1)
         channels = tuple(meta["channels"].split(","))
     except KeyError as e:
         raise MalformedHeader(f"{meta_file}: missing required key {e}") from None
-    except ValueError:
-        raise MalformedHeader(f"{meta_file}: fs {meta['fs']!r} is not a number") from None
-    if not (np.isfinite(fs) and fs > 0):
-        raise MalformedHeader(f"{meta_file}: fs {meta['fs']!r} is not a positive, finite number")
+    if fs is None or not (np.isfinite(fs[0, 0]) and fs[0, 0] > 0):
+        what = "a number" if fs is None else "a positive, finite number"
+        raise MalformedHeader(f"{meta_file}: fs {meta['fs']!r} is not {what}")
+    fs = float(fs[0, 0])
     with _reported(root, "dataset directory", "list"):
-        subjects = sorted((int(m.group(1)), root / name) for name in os.listdir(root)
-                          if (m := _SUBJECT_DIR.match(name)) and (root / name).is_dir())
+        subjects = sorted((int(k[0, 0]), root / name) for name in os.listdir(root)
+                          if (m := _SUBJECT_DIR.match(name)) and (root / name).is_dir()
+                          and (k := parse_numbers([m[1]], 1, 1, integer=True)) is not None)
         files = [(sid, subdir / fname) for sid, subdir in subjects
                  for fname in sorted(os.listdir(subdir)) if fname.endswith(".csv")]
     entries: list[tuple[int, Recording]] = []
@@ -361,7 +378,7 @@ def generate_synthetic_subject(profile: SynthProfile, duration_s: float,
     gain jitter of +/-25%. Seeded white noise with variance ``noise_floor``
     is added per channel. Identical inputs give bit-identical output.
     """
-    n = int(round(duration_s * fs))
+    n = to_samples(duration_s, fs)
     if n < 1:
         raise InvalidArgument(f"duration {duration_s}s at {fs} Hz yields no samples")
     for f0, _, _ in profile.components:

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidArgument, NonConvergence,
                      SingleClassInput, SubjectTooSmall)
+from .signal_io import _bad_integers
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
@@ -94,7 +95,7 @@ class KernelSpec:
                 raise InvalidArgument(f"{kind} kernel needs gamma > 0, got {self.gamma}")
         if kind == "poly":
             d = self.degree
-            if d is None or not (float(d).is_integer() and d >= 1):
+            if d is None or _bad_integers(d) or d < 1:
                 raise InvalidArgument(f"poly kernel needs an integer degree >= 1, got {d}")
             object.__setattr__(self, "degree", int(d))
 

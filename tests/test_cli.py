@@ -336,6 +336,23 @@ def test_evaluate_rejects_features_of_other_preprocessing(world, tmp_path, capsy
     assert f"[preprocess] {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, message", [
+    ({"fs": "\u0662\u0665\u0660"}, "PreprocessFlags fs '\u0662\u0665\u0660' is no float"),
+    ({"win_s": "0_8"}, "PreprocessFlags win_s '0_8' is no float"),
+    ({"bp_order": "4.5"}, "PreprocessFlags bp_order '4.5' is no int"),
+    ({"asr": "2"}, "PreprocessFlags asr '2' is no bool"),
+], ids=["non-ASCII fs", "digit separator", "fractional int", "bool neither 0 nor 1"])
+def test_evaluate_refuses_a_header_setting_outside_the_grammar(world, tmp_path, capsys,
+                                                               header, message):
+    _, _, feat, model = world
+    X, y, starts, meta = load_feature_table(feat)
+    edited = tmp_path / "features_edited.csv"
+    save_feature_table(edited, X, y, starts, meta={**meta, **header})
+    rc = main(["evaluate", "--features", str(edited), "--model", str(model)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"eegid evaluate: {message}"]
+
+
 def test_evaluate_rejects_features_of_two_channels(world, tmp_path, capsys):
     _, _, feat, model = world
     X, y, starts, meta = load_feature_table(feat)

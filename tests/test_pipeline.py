@@ -202,6 +202,15 @@ def test_evaluate_report_accounting(small_world):
     assert np.all(rep.recall >= 0) and np.all(rep.recall <= 1)
 
 
+def test_evaluate_accepts_an_iterator_of_windows(small_world):
+    """evaluate takes any iterable of windows, as fit_pipeline does."""
+    _, _, _, test, model = small_world
+    from_list, from_iter = evaluate(model, test), evaluate(model, iter(test))
+    assert (from_iter.accuracy, from_iter.classes) == (from_list.accuracy, from_list.classes)
+    for name in ("confusion", "precision", "recall"):
+        assert np.array_equal(getattr(from_iter, name), getattr(from_list, name))
+
+
 def test_evaluate_features_tallies_like_a_loop(small_world):
     # labels shifted by one window put counts off the diagonal
     _, _, _, test, model = small_world
@@ -508,6 +517,57 @@ def test_model_written_by_v2_writer_round_trips_byte_for_byte(tmp_path):
     assert model.flags == PreprocessFlags(asr=False, fs=500.0, win_s=1.0, hop_s=0.5)
     save_model(model, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == pinned.read_bytes()
+
+
+_TINY_MODEL = Path(__file__).parent / "data" / "tiny_model_v2.txt"
+
+
+def _tiny_model_with(tmp_path, edits):
+    """A re-signed copy of the pinned tiny model with each whole payload
+    line `old` replaced by `new`."""
+    path = tmp_path / "model.txt"
+    path.write_bytes(_TINY_MODEL.read_bytes())
+    _rewrite_payload(path, lambda lines: [
+        edits.get(ln.rstrip("\n"), ln.rstrip("\n")) + "\n" for ln in lines])
+    return path
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("classes 0 1 2", "classes 0 \u0661 2",
+     "^malformed model file: MulticlassSvmModel classes '0 \u0661 2' is no int$"),
+    ("n_channels 2", "n_channels \u0662",
+     r"^n_channels \u0662 does not match the standardizer's 20 features \(10 per channel\)$"),
+    ("n_channels 2", "n_channels 2.5", r"^n_channels 2.5 does not match the standardizer's"),
+    ("degree 2", "degree 2_0", "^malformed model file: KernelSpec degree '2_0' is no int$"),
+    ("bp_order 4", "bp_order 4.5",
+     "^malformed model file: PreprocessFlags bp_order '4.5' is no int$"),
+    ("asr 0", "asr 2", "^malformed model file: PreprocessFlags asr '2' is no bool$"),
+    ("vectors 15 3", "vectors \u0661\u0665 3",
+     "^vectors block size '\u0661\u0665 3' is not two integers$"),
+    ("vectors 15 3", "vectors 15 3.5", "^vectors block size '15 3.5' is not two integers$"),
+    ("fs 500.0", "fs \u0665\u0660\u0660",
+     "^malformed model file: PreprocessFlags fs '\u0665\u0660\u0660' is no float$"),
+], ids=["non-ASCII class", "non-ASCII n_channels", "fractional n_channels",
+        "digit separator in degree", "fractional bp_order", "asr neither 0 nor 1",
+        "non-ASCII matrix size", "fractional matrix size", "non-ASCII fs"])
+def test_load_model_refuses_numbers_outside_the_grammar(tmp_path, old, new, message):
+    """Settings and matrix sizes follow parse_numbers and its integer rule."""
+    with pytest.raises(CorruptModel, match=message):
+        load_model(_tiny_model_with(tmp_path, {old: new}))
+
+
+def test_load_model_reads_integral_values_as_integers(tmp_path):
+    """2.0 is the integer 2 wherever the model file holds an integer."""
+    path = _tiny_model_with(tmp_path, {
+        "degree 2": "degree 2.0", "classes 0 1 2": "classes 0 1.0 2e0",
+        "n_channels 2": "n_channels 2.0", "bp_order 4": "bp_order 4.0",
+        "asr 0": "asr 0.0", "vectors 15 3": "vectors 15.0 3"})
+    model = load_model(path)
+    assert model.svm.kernel.degree == 2 and type(model.svm.kernel.degree) is int
+    assert model.svm.classes == (0, 1, 2) and all(type(c) is int for c in model.svm.classes)
+    assert (model.flags.bp_order, model.flags.asr) == (4, False)
+    save_model(model, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == _TINY_MODEL.read_bytes()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -270,7 +270,9 @@ def test_dataset_meta_refuses_a_rate_that_is_not_positive_and_finite(tmp_path, f
     ("fs=250.0\nchannels\n", "expected key=value, got 'channels'"),
     ("fs=250.0\n", "missing required key 'channels'"),
     ("channels=A,B\n", "missing required key 'fs'"),
-], ids=["no-equals", "no-channels", "no-fs"])
+    ("fs=\u0662\u0665\u0660\nchannels=A,B\n", "fs '\u0662\u0665\u0660' is not a number"),
+    ("fs=2_50\nchannels=A,B\n", "fs '2_50' is not a number"),
+], ids=["no-equals", "no-channels", "no-fs", "non-ASCII digits in fs", "digit separator in fs"])
 def test_dataset_meta_errors_name_the_file(tmp_path, text, message):
     root = tmp_path / "ds"
     save_dataset(LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 10))))]), root)
@@ -278,6 +280,19 @@ def test_dataset_meta_errors_name_the_file(tmp_path, text, message):
     with pytest.raises(MalformedHeader) as ei:
         load_dataset(root)
     assert str(ei.value) == f"{root / 'meta.txt'}: {message}"
+
+
+def test_dataset_skips_a_subject_directory_without_ascii_digits(tmp_path):
+    """subject_<k> counts only with ASCII digits: subject_\u0661 is no subject 1."""
+    root = tmp_path / "ds"
+    recording = Recording(("A", "B"), 250.0, np.ones((2, 10)))
+    save_dataset(LabeledDataset([(1, recording)]), root)
+    (root / "subject_\u0661").mkdir()
+    save_recording_csv(recording, root / "subject_\u0661" / "rec_000.csv")
+    (root / "subject_01").mkdir()
+    save_recording_csv(recording, root / "subject_01" / "rec_000.csv")
+    ds = load_dataset(root)
+    assert [sid for sid, _ in ds.entries] == [1, 1]
 
 
 def test_dataset_bad_cell_names_its_file(tmp_path):
