@@ -174,7 +174,10 @@ def cmd_extract(args) -> int:
 def _load_split_features(args):
     split = _split_from_args(args)
     X, y, starts, meta = features.load_feature_table(args.features)
-    flags = pipeline.flags_from_meta(meta)
+    try:
+        flags = pipeline.flags_from_meta(meta)
+    except InvalidArgument as e:  # named after the table, as its body errors are
+        raise InvalidArgument(f"{args.features}: {e}") from None
     order = np.lexsort((starts, y))
     X, y, starts = X[order], y[order], starts[order]
     train_idx, test_idx = svm.split_rows(y, split)

@@ -44,7 +44,7 @@ from .errors import (
     NonNumericSample,
     TooFewSamples,
 )
-from .signal_io import _bad_integers, _format_row, _open_text, _read_body
+from .signal_io import _bad_integers, _format_row, _read_body, _read_lines, _write_lines
 
 FEATURE_NAMES = (
     "rms", "std", "skew", "kurt", "hj_act",
@@ -249,12 +249,10 @@ def save_feature_table(path, X, labels, starts, meta: dict | None = None) -> Non
     if not np.isfinite(X).all():
         raise InvalidArgument("feature matrix contains NaN/Inf")
     names = feature_column_names(X.shape[1] // N_FEATURES)
-    with _open_text(path, "feature table", "w") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("subject_id,start_index," + ",".join(names) + "\n")
-        for sid, start, row in zip(labels, starts, X):
-            fh.write(f"{sid},{start},{_format_row(row)}\n")
+    _write_lines(path, "feature table",
+                 [f"# {key}={value}" for key, value in (meta or {}).items()],
+                 ["subject_id,start_index," + ",".join(names)],
+                 (f"{sid},{start},{_format_row(row)}" for sid, start, row in zip(labels, starts, X)))
 
 
 def load_feature_table(path):
@@ -262,32 +260,33 @@ def load_feature_table(path):
 
     Returns (X, labels, starts, meta), meta from the ``# key=value`` lines,
     each key at most once.
-    The body follows the recording CSV rules (signal_io): finite cells
-    only, rows numbered from 0 after the header, blank lines refused; the
-    converter of every numeric body, matrix and vector, parse_numbers,
-    reads it, and a body it refuses is walked only to name the bad cell.
+    The file is read once and whole (signal_io._read_lines), and the body
+    follows the recording CSV rules: finite cells only, rows numbered from
+    0 after the header, blank lines refused; the converter of every numeric
+    body, matrix and vector, parse_numbers, converts it in one call, and a
+    body it refuses is walked only to name the bad cell.
     subject_id and start_index must be integers below 2**53. Raises
     MissingFile, IoFailure, MalformedHeader, NonNumericSample or RaggedRows.
     """
+    lines = _read_lines(path, "feature table")
     meta: dict[str, str] = {}
-    with _open_text(path, "feature table") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            key, eq, value = (part.strip() for part in line[1:].partition("="))
-            if eq:
-                if key in meta:
-                    raise MalformedHeader(f"{path}: header key {key!r} given twice")
-                meta[key] = value
-            line = fh.readline()
-        header = line.rstrip("\n").split(",")
-        n_ch = (len(header) - 2) // N_FEATURES
-        names = ["subject_id", "start_index", *feature_column_names(n_ch)]
-        if n_ch < 1 or header != names:
-            raise MalformedHeader(f"{path}: header must be subject_id,start_index "
-                                  "then the feature columns in the frozen order")
-        body = _read_body(path, fh, len(header))
-    if len(body) == 0:
+    k = 0
+    while k < len(lines) and lines[k].startswith("#"):
+        key, eq, value = (part.strip() for part in lines[k][1:].partition("="))
+        if eq:
+            if key in meta:
+                raise MalformedHeader(f"{path}: header key {key!r} given twice")
+            meta[key] = value
+        k += 1
+    header = lines[k].split(",") if k < len(lines) else []
+    n_ch = (len(header) - 2) // N_FEATURES
+    names = ["subject_id", "start_index", *feature_column_names(n_ch)]
+    if n_ch < 1 or header != names:
+        raise MalformedHeader(f"{path}: header must be subject_id,start_index "
+                              "then the feature columns in the frozen order")
+    if k + 1 == len(lines):
         raise MalformedHeader(f"{path}: feature table has no data rows")
+    body = _read_body(path, lines[k + 1:], len(header))
     ids = body[:, :2]
     bad = np.flatnonzero(_bad_integers(ids))
     if bad.size:

@@ -16,7 +16,9 @@ and checked by its own `__post_init__`.
 Model files are a single versioned text container: a version line, a
 checksum line (sha256 of the payload), then key/value and matrix blocks
 in full-precision decimal text, so identical models save byte-identically
-and reload bit-exactly. `signal_io.parse_numbers`, the converter of
+and reload bit-exactly. The file is read once and whole; the payload is
+hashed as read, then cut into lines by signal_io's one line rule, and a
+matrix block is the `rows` lines after its size line. `signal_io.parse_numbers`, the converter of
 recording and feature-table bodies, converts every matrix, matrix size,
 vector and setting, ints and bools by its integer rule (integral, below
 2**53; a bool is 0 or 1), so `2.0` reads as 2; a key given twice in one
@@ -31,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import typing
 from dataclasses import dataclass
 
@@ -52,7 +53,8 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, N_FEATURES, extract_feature_matrix
 from .reduction import PcaModel, Standardizer, fit_pca, fit_standardizer, pca_transform
-from .signal_io import DEFAULT_FS, LabeledDataset, Recording, _format_row, _open_text
+from .signal_io import (DEFAULT_FS, LabeledDataset, Recording, _format_row, _open_text,
+                        _split_lines, _write_lines)
 from .svm import (
     DEFAULT_MAX_PASSES,
     DEFAULT_TOL,
@@ -150,7 +152,7 @@ def _fields_from_meta(cls, meta: dict):
         elif text == "-" and type(None) in others:
             values[f.name] = None
         else:
-            row = signal_io.parse_numbers([text], 1, None if many else 1, integer=kind in (int, bool))
+            row = signal_io.parse_numbers([text], None if many else 1, integer=kind in (int, bool))
             if kind is np.ndarray:
                 values[f.name] = _numbers(f.name, row, f"{f.name} is not a row of numbers")[0]
             elif row is None or (kind is bool and row[0, 0] not in (0, 1)):
@@ -434,12 +436,9 @@ def _payload_lines(p: TrainedPipeline) -> list[str]:
 
 def save_model(p: TrainedPipeline, path) -> None:
     """Write the versioned, checksummed text container."""
-    payload = "\n".join(_payload_lines(p)) + "\n"
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    with _open_text(path, "model file", "w") as fh:
-        fh.write(MODEL_FORMAT + "\n")
-        fh.write(f"checksum {digest}\n")
-        fh.write(payload)
+    lines = _payload_lines(p)
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    _write_lines(path, "model file", [MODEL_FORMAT, f"checksum {digest}"], lines)
 
 
 def _blocks(lines: list[str]) -> dict[str, dict]:
@@ -447,8 +446,10 @@ def _blocks(lines: list[str]) -> dict[str, dict]:
     finite array}}. The blocks must be v2's, in order, and no key may
     appear twice in one block."""
     names, blocks = [], []
-    lines = iter(lines)
-    for line in lines:
+    k = 0
+    while k < len(lines):
+        line = lines[k]
+        k += 1
         key, _, text = line.partition(" ")
         if key.startswith("["):
             names.append(key)
@@ -458,10 +459,12 @@ def _blocks(lines: list[str]) -> dict[str, dict]:
             raise CorruptModel(f"expected '[meta]', found {line!r}")
         value = text.strip()
         if key in _MATRICES:
-            rows, cols = _numbers(key, signal_io.parse_numbers([value], 1, 2, integer=True),
+            rows, cols = _numbers(key, signal_io.parse_numbers([value], 2, integer=True),
                                   f"{key} block size {value!r} is not two integers")[0]
-            block = signal_io.parse_numbers(itertools.islice(lines, rows), rows, cols)
-            value = _numbers(key, block, f"{key} block is not {rows} x {cols}")
+            block = lines[k:k + rows]
+            k += len(block)
+            value = _numbers(key, signal_io.parse_numbers(block, cols) if len(block) == rows
+                             else None, f"{key} block is not {rows} x {cols}")
         field = _FIELD.get(key, key)
         if field in blocks[-1]:
             raise CorruptModel(f"{names[-1]} has more than one {key!r} line")
@@ -494,7 +497,7 @@ def load_model(path) -> TrainedPipeline:
     if checksum_line.split()[1:] != [hashlib.sha256(payload.encode()).hexdigest()]:
         raise CorruptModel("checksum mismatch: model file is corrupted")
     try:
-        blocks = _blocks(payload.splitlines())
+        blocks = _blocks(_split_lines(payload))
         meta = blocks["meta"]
         if meta["feature_version"] != FEATURE_ORDER_VERSION:
             raise VersionMismatch(
@@ -504,7 +507,7 @@ def load_model(path) -> TrainedPipeline:
             raise VersionMismatch("feature name list differs from this build")
         flags = flags_from_meta(meta)
         standardizer = _fields_from_meta(Standardizer, blocks["standardizer"])
-        n_channels = signal_io.parse_numbers([meta["n_channels"]], 1, 1, integer=True)
+        n_channels = signal_io.parse_numbers([meta["n_channels"]], 1, integer=True)
         if n_channels is None or n_channels[0, 0] * N_FEATURES != standardizer.n_features:
             raise CorruptModel(
                 f"n_channels {meta['n_channels']} does not match the standardizer's "

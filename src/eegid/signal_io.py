@@ -12,6 +12,9 @@ finite number, and every recording's header lists the ``channels`` of
 ``meta.txt``, or InconsistentChannels naming the recording relative to
 the dataset root, when they are not.
 
+_read_lines reads every eegid text file once and whole, and its inverse
+_write_lines writes them: a line ends at ``"\n"``, a final one included.
+
 Recording CSVs and feature tables (``features.py``) share one body reader
 and its rules: one cell per header column, each a finite number, and no
 blank lines (a blank line is a row of one empty cell). parse_numbers, the
@@ -31,7 +34,6 @@ share across threads.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -189,6 +191,24 @@ def _open_text(path, what: str, mode: str = "r"):
         yield fh
 
 
+def _split_lines(text: str) -> list[str]:
+    """text cut at each "\n"; a final "\n" ends the last line."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def _read_lines(path, what: str) -> list[str]:
+    """The lines of a text file, read once and whole."""
+    with _open_text(path, what) as fh:
+        return _split_lines(fh.read())
+
+
+def _write_lines(path, what: str, *parts) -> None:
+    """Write every line of the iterables in `parts`, in turn, each ending in "\n"."""
+    with _open_text(path, what, "w") as fh:
+        for part in parts:
+            fh.writelines(line + "\n" for line in part)
+
+
 def _format_row(row: np.ndarray, sep: str = ",") -> str:
     """Every float eegid writes as text, by repr, which reads back to the same bits."""
     return sep.join(map(repr, row.tolist()))
@@ -198,11 +218,7 @@ def save_recording_csv(recording: Recording, path) -> None:
     """Write a recording as CSV; load_recording_csv inverts it exactly."""
     validate_recording(recording)
     header = ",".join(_HEADER_PREFIX + name for name in recording.channels)
-    cols = recording.data.T  # one sample per row
-    with _open_text(path, "recording file", "w") as fh:
-        fh.write(header + "\n")
-        for row in cols:
-            fh.write(_format_row(row) + "\n")
+    _write_lines(path, "recording file", [header], map(_format_row, recording.data.T))
 
 
 def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
@@ -211,33 +227,27 @@ def load_recording_csv(path, fs: float = DEFAULT_FS) -> Recording:
     The file stores no sampling rate; pass fs explicitly (the dataset
     loader passes the value from meta.txt).
     """
-    with _open_text(path, "recording file") as fh:
-        header = fh.readline().rstrip("\n")
-        names = header.split(",") if header else []
-        if not names or not all(n.startswith(_HEADER_PREFIX) for n in names):
-            raise MalformedHeader(f"{path}: header must be 'ch:<name>,...', got {header!r}")
-        channels = tuple(n[len(_HEADER_PREFIX):] for n in names)
-        if any(not c for c in channels):
-            raise MalformedHeader(f"{path}: empty channel name in header")
-        data = _read_body(path, fh, len(channels))
-    if len(data) == 0:
+    header, *body = _read_lines(path, "recording file") or [""]
+    names = header.split(",") if header else []
+    if not names or not all(n.startswith(_HEADER_PREFIX) for n in names):
+        raise MalformedHeader(f"{path}: header must be 'ch:<name>,...', got {header!r}")
+    channels = tuple(n[len(_HEADER_PREFIX):] for n in names)
+    if any(not c for c in channels):
+        raise MalformedHeader(f"{path}: empty channel name in header")
+    if not body:
         raise InvalidRecording(f"{path}: no data rows")
-    return Recording(channels=channels, fs=fs, data=data.T)
+    return Recording(channels=channels, fs=fs, data=_read_body(path, body, len(channels)).T)
 
 
-def parse_numbers(lines, n_rows: int, n_cols=None, delimiter=None,
+def parse_numbers(lines: list[str], n_cols=None, delimiter=None,
                   finite=False, integer=False) -> np.ndarray | None:
-    """n_rows lines (any iterable; an open file is streamed) of n_cols
-    numbers each (any count if None) as an (n_rows, n_cols) array, or None
-    if they are anything else. NaN and Inf convert unless `finite`; an
-    `integer` array is int and passes _bad_integers."""
-    lines = iter(lines)
-    first = next(lines, "")
-    if first.strip():  # loadtxt warns when it skips every line
+    """The lines, n_cols numbers each (any count if None), as an array of
+    len(lines) rows, or None if they are anything else. NaN and Inf convert
+    unless `finite`; an `integer` array is int and passes _bad_integers."""
+    if lines and lines[0].strip():  # loadtxt warns when it skips every line
         with contextlib.suppress(ValueError):
-            data = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
-                              comments=None, ndmin=2)
-            if (data.shape[0] == n_rows and n_cols in (None, data.shape[1])
+            data = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+            if (data.shape[0] == len(lines) and n_cols in (None, data.shape[1])
                     and (not finite or np.isfinite(data).all())
                     and not (integer and _bad_integers(data).any())):
                 return data.astype(int) if integer else data
@@ -249,28 +259,22 @@ def _bad_integers(a: np.ndarray) -> np.ndarray:
     return (a != np.trunc(a)) | (np.abs(a) >= 2.0 ** 53)
 
 
-def _read_body(path, fh, n_cols: int) -> np.ndarray:
-    """The CSV body left in fh as a (rows, n_cols) array of finite values,
-    converted by parse_numbers after a pass that counts the lines. A body it
-    refuses is walked only to name the first bad row or cell (row 0 is the
-    first body line): rows whole, then the cells of the first refused row."""
-    start = fh.tell()
-    n_rows = sum(1 for _ in fh)
-    fh.seek(start)
-    data = (parse_numbers(fh, n_rows, n_cols, ",", finite=True) if n_rows
-            else np.empty((0, n_cols)))
+def _read_body(path, lines: list[str], n_cols: int) -> np.ndarray:
+    """The CSV body lines, at least one, as a (rows, n_cols) array of finite
+    values, converted by one parse_numbers call. A body it refuses is walked
+    only to name the first bad row or cell (row 0 is the first body line):
+    rows whole, then the cells of the first refused row."""
+    data = parse_numbers(lines, n_cols, ",", finite=True)
     if data is not None:
         return data
-    fh.seek(start)
-    for i, line in enumerate(fh):
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != n_cols:
-            raise RaggedRows(f"{path}: row {i} has {len(cells)} cells, expected {n_cols}")
-        if parse_numbers([line], 1, n_cols, ",", finite=True) is None:
-            j = next(j for j, cell in enumerate(cells)
-                     if parse_numbers([cell], 1, 1, ",", finite=True) is None)
-            raise NonNumericSample(path, i, j, cells[j])
-    raise IoFailure(f"{path}: file changed while it was read")
+    i, line = next((i, line) for i, line in enumerate(lines)
+                   if parse_numbers([line], n_cols, ",", finite=True) is None)
+    cells = line.split(",")
+    if len(cells) != n_cols:
+        raise RaggedRows(f"{path}: row {i} has {len(cells)} cells, expected {n_cols}")
+    j = next(j for j, cell in enumerate(cells)
+             if parse_numbers([cell], 1, ",", finite=True) is None)
+    raise NonNumericSample(path, i, j, cells[j])
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +301,9 @@ def save_dataset(ds: LabeledDataset, root, generator: str | None = None,
         root.mkdir(parents=True, exist_ok=True)
         for sid in ds.subject_ids:
             (root / f"subject_{sid}").mkdir(exist_ok=True)
-    with _open_text(root / "meta.txt", "dataset meta.txt", "w") as fh:
-        fh.write(f"fs={repr(fs)}\n")
-        fh.write(f"channels={','.join(channels)}\n")
-        if generator is not None:
-            fh.write(f"generator={generator}\n")
-        if seed is not None:
-            fh.write(f"seed={seed}\n")
+    meta = {"fs": repr(fs), "channels": ",".join(channels), "generator": generator, "seed": seed}
+    _write_lines(root / "meta.txt", "dataset meta.txt",
+                 [f"{key}={value}" for key, value in meta.items() if value is not None])
     counters: dict[int, int] = {}
     for sid, rec in ds.entries:
         k = counters.get(sid, 0)
@@ -316,17 +316,16 @@ def read_meta(root) -> dict[str, str]:
     starting with # are skipped. A key given twice raises MalformedHeader."""
     path = Path(root) / "meta.txt"
     meta: dict[str, str] = {}
-    with _open_text(path, "dataset meta.txt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MalformedHeader(f"{path}: expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in meta:
-                raise MalformedHeader(f"{path}: key {key!r} given twice")
-            meta[key] = val
+    for line in _read_lines(path, "dataset meta.txt"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MalformedHeader(f"{path}: expected key=value, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in meta:
+            raise MalformedHeader(f"{path}: key {key!r} given twice")
+        meta[key] = val
     return meta
 
 
@@ -337,7 +336,7 @@ def load_dataset(root) -> LabeledDataset:
         raise MissingFile(f"no such dataset directory: {root}")
     meta, meta_file = read_meta(root), root / "meta.txt"
     try:
-        fs = parse_numbers([meta["fs"]], 1, 1)
+        fs = parse_numbers([meta["fs"]], 1)
         channels = tuple(meta["channels"].split(","))
     except KeyError as e:
         raise MalformedHeader(f"{meta_file}: missing required key {e}") from None
@@ -348,7 +347,7 @@ def load_dataset(root) -> LabeledDataset:
     with _reported(root, "dataset directory", "list"):
         subjects = sorted((int(k[0, 0]), root / name) for name in os.listdir(root)
                           if (m := _SUBJECT_DIR.match(name)) and (root / name).is_dir()
-                          and (k := parse_numbers([m[1]], 1, 1, integer=True)) is not None)
+                          and (k := parse_numbers([m[1]], 1, integer=True)) is not None)
         files = [(sid, subdir / fname) for sid, subdir in subjects
                  for fname in sorted(os.listdir(subdir)) if fname.endswith(".csv")]
     entries: list[tuple[int, Recording]] = []

@@ -350,7 +350,7 @@ def test_evaluate_refuses_a_header_setting_outside_the_grammar(world, tmp_path, 
     save_feature_table(edited, X, y, starts, meta={**meta, **header})
     rc = main(["evaluate", "--features", str(edited), "--model", str(model)])
     assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [f"eegid evaluate: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"eegid evaluate: {edited}: {message}"]
 
 
 def test_evaluate_rejects_features_of_two_channels(world, tmp_path, capsys):

@@ -545,11 +545,13 @@ def _tiny_model_with(tmp_path, edits):
     ("vectors 15 3", "vectors \u0661\u0665 3",
      "^vectors block size '\u0661\u0665 3' is not two integers$"),
     ("vectors 15 3", "vectors 15 3.5", "^vectors block size '15 3.5' is not two integers$"),
+    ("vectors 15 3", "vectors -1 3", "^vectors block is not -1 x 3$"),
     ("fs 500.0", "fs \u0665\u0660\u0660",
      "^malformed model file: PreprocessFlags fs '\u0665\u0660\u0660' is no float$"),
 ], ids=["non-ASCII class", "non-ASCII n_channels", "fractional n_channels",
         "digit separator in degree", "fractional bp_order", "asr neither 0 nor 1",
-        "non-ASCII matrix size", "fractional matrix size", "non-ASCII fs"])
+        "non-ASCII matrix size", "fractional matrix size", "negative matrix size",
+        "non-ASCII fs"])
 def test_load_model_refuses_numbers_outside_the_grammar(tmp_path, old, new, message):
     """Settings and matrix sizes follow parse_numbers and its integer rule."""
     with pytest.raises(CorruptModel, match=message):

@@ -1,6 +1,5 @@
 """Recording CSV round trips, dataset layout, and synthetic generation."""
 
-import io
 import warnings
 
 import numpy as np
@@ -13,12 +12,12 @@ from eegid.errors import (
     InvalidArgument,
     InvalidProfile,
     InvalidRecording,
-    IoFailure,
     MalformedHeader,
     MissingFile,
     NonNumericSample,
     RaggedRows,
 )
+from eegid.features import save_feature_table
 from eegid.signal_io import (
     LabeledDataset,
     Recording,
@@ -142,22 +141,6 @@ def test_body_rules_hold_without_warnings(tmp_path, case):
     assert str(ei.value) == expected.format(path=p)
 
 
-def test_body_that_grows_after_the_counting_pass_is_io_failure():
-    class Growing(io.StringIO):
-        """A body another writer extends once its lines have been counted."""
-        grown = False
-
-        def seek(self, pos, whence=0):
-            if not self.grown:
-                self.grown = True
-                super().seek(0, io.SEEK_END)
-                self.write("5,6\n")
-            return super().seek(pos, whence)
-
-    with pytest.raises(IoFailure, match="^r.csv: file changed while it was read$"):
-        signal_io._read_body("r.csv", Growing("1,2\n3,4\n"), 2)
-
-
 def test_missing_file_and_bad_header(tmp_path):
     with pytest.raises(MissingFile):
         load_recording_csv(tmp_path / "absent.csv")
@@ -229,6 +212,22 @@ def test_dataset_round_trip_two_subjects(tmp_path):
     meta = read_meta(root)
     assert meta["generator"] == "numpy-pcg64"
     assert float(meta["fs"]) == 250.0
+
+
+def test_meta_txt_and_feature_table_are_written_byte_for_byte(tmp_path):
+    ds = LabeledDataset([(0, Recording(("A", "B"), 250.0, np.ones((2, 3))))])
+    save_dataset(ds, tmp_path / "plain")
+    assert (tmp_path / "plain" / "meta.txt").read_bytes() == b"fs=250.0\nchannels=A,B\n"
+    save_dataset(ds, tmp_path / "seeded", generator="numpy-pcg64", seed=7)
+    assert (tmp_path / "seeded" / "meta.txt").read_bytes() == (
+        b"fs=250.0\nchannels=A,B\ngenerator=numpy-pcg64\nseed=7\n")
+    table = tmp_path / "features.csv"
+    save_feature_table(table, [np.arange(10) / 4], [2], [50], meta={"fs": "250.0"})
+    assert table.read_bytes() == (
+        b"# fs=250.0\n"
+        b"subject_id,start_index,c0_rms,c0_std,c0_skew,c0_kurt,c0_hj_act,c0_hj_mob,"
+        b"c0_hj_comp,c0_shan_ent,c0_spec_ent,c0_band_pow\n"
+        b"2,50,0.0,0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25\n")
 
 
 def test_dataset_meta_skips_blank_and_comment_lines(tmp_path):
